@@ -9,6 +9,7 @@ per-image families perturb each image independently.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -354,16 +355,23 @@ def load_perturbation(path) -> Perturbation:
         buf = fh.read()
     if buf[: len(DELTA_MAGIC)] != DELTA_MAGIC:
         raise ValueError(f"{path}: bad magic, not a perturbation file")
-    (n,) = struct.unpack_from("<I", buf, len(DELTA_MAGIC))
     start = len(DELTA_MAGIC) + 4
-    header = json.loads(buf[start : start + n].decode("utf-8"))
-    shape = tuple(header["shape"])
-    delta = np.frombuffer(
-        buf, dtype="<f8", count=int(np.prod(shape)), offset=start + n
-    ).reshape(shape)
-    return Perturbation(
-        delta=delta,
-        config=AttackConfig.from_json_dict(header["config"]),
-        view_ids=tuple(header["view_ids"]),
-        final_loss=header["final_loss"],
-    )
+    if len(buf) < start:
+        raise ValueError(f"{path}: file ends inside the header length")
+    (n,) = struct.unpack_from("<I", buf, len(DELTA_MAGIC))
+    if start + n > len(buf):
+        raise ValueError(f"{path}: header length {n} runs past the end of the file")
+    try:
+        header = json.loads(buf[start : start + n].decode("utf-8"))
+        shape = tuple(int(d) for d in header["shape"])
+        payload = len(buf) - start - n
+        if payload != 8 * math.prod(shape):
+            raise ValueError(f"{payload} payload bytes do not hold a float64 array of shape {shape}")
+        return Perturbation(
+            delta=np.frombuffer(buf, dtype="<f8", offset=start + n).reshape(shape),
+            config=AttackConfig.from_json_dict(header["config"]),
+            view_ids=tuple(header["view_ids"]),
+            final_loss=header["final_loss"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed perturbation file: {exc}") from exc

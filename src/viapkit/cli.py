@@ -68,11 +68,33 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
+# A config file is either flat (one command's keys) or split into these
+# sections, next to an optional top-level "seed" that only sweep reads.
+SECTIONS = ("dataset", "train", "attack", "sweep")
+
+
+def _check_sections(cfg: dict) -> dict:
+    unknown = sorted(set(cfg) - {*SECTIONS, "seed"})
+    if unknown:
+        raise ValueError(f"unknown config key(s) {unknown}; expected sections {SECTIONS} or seed")
+    if not all(isinstance(cfg.get(k, {}), dict) for k in SECTIONS):
+        raise ValueError(f"config sections {SECTIONS} must be JSON objects")
+    return cfg
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """The named section of a config file, or the whole file if it has no sections."""
+    return _check_sections(cfg).get(name, {}) if any(k in cfg for k in SECTIONS) else cfg
+
+
 def _merge(defaults: dict, *overrides: dict) -> dict:
+    """Layer overrides onto defaults; a None override keeps the value below it."""
     out = dict(defaults)
     for layer in overrides:
         for k, v in layer.items():
-            if v is not None or k in out and out[k] is None:
+            if k not in defaults:
+                raise ValueError(f"unknown config key {k!r}; expected one of {sorted(defaults)}")
+            if v is not None or out[k] is None:
                 out[k] = v
     return out
 
@@ -105,49 +127,43 @@ def _parse_target(text: str):
 # ---------------------------------------------------------------------------
 
 def cmd_dataset(args) -> int:
-    file_cfg = _load_config_file(args.config).get("dataset", _load_config_file(args.config))
+    file_cfg = _section(_load_config_file(args.config), "dataset")
     cfg = _merge(DEFAULT_DATASET_CFG, file_cfg, {"seed": args.seed})
     out = args.out or "runs/dataset"
     _echo_config(cfg, out)
-    ds = render.generate_dataset(
-        out_dir=out,
-        classes=tuple(cfg["classes"]),
-        objects_per_class=cfg["objects_per_class"],
-        views_per_object=cfg["views_per_object"],
-        train_views=cfg["train_views"],
-        seed=cfg["seed"],
-        jitter_frac=cfg["jitter_frac"],
-        axis_restrict=cfg["axis_restrict"],
-        image_size=cfg["image_size"],
-        camera_radius=cfg["camera_radius"],
-    )
+    ds = render.generate_dataset(out_dir=out, **cfg)
     n_train = int(ds.train_mask.sum())
     print(f"wrote {len(ds.labels)} views ({n_train} train / {len(ds.labels) - n_train} test) to {out}")
     return EXIT_OK
 
 
+def _train_and_save(cfg: dict, ds, out) -> nn.ModelParams:
+    """Train the victim on ds's train split; write weights.viapnet and train_log.csv."""
+    tr, te = ds.indices("train"), ds.indices("test")
+    params = train_mod.init_params(
+        cfg["seed"], *ds.manifest.image_shape[:2], ds.manifest.image_shape[2], ds.n_classes
+    )
+    params, log = train_mod.train(
+        params, ds.images[tr], ds.labels[tr], train_mod.TrainConfig(**cfg),
+        val=(ds.images[te], ds.labels[te]),
+    )
+    os.makedirs(out, exist_ok=True)
+    nn.save_params(params, os.path.join(out, "weights.viapnet"))
+    with open(os.path.join(out, "train_log.csv"), "w") as fh:
+        fh.write(train_mod.log_csv(log))
+    return params
+
+
 def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    cfg = _merge(DEFAULT_TRAIN_CFG, file_cfg.get("train", file_cfg), {"seed": args.seed})
+    cfg = _merge(
+        DEFAULT_TRAIN_CFG, _section(_load_config_file(args.config), "train"), {"seed": args.seed}
+    )
     out = args.out or "runs/model"
     _echo_config(cfg, out)
 
     ds = render.load_dataset(args.dataset)
     tr, te = ds.indices("train"), ds.indices("test")
-    params = train_mod.init_params(
-        cfg["seed"], *ds.manifest.image_shape[:2], ds.manifest.image_shape[2], ds.n_classes
-    )
-    tcfg = train_mod.TrainConfig(
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-        momentum=cfg["momentum"], seed=cfg["seed"],
-    )
-    params, log = train_mod.train(
-        params, ds.images[tr], ds.labels[tr], tcfg,
-        val=(ds.images[te], ds.labels[te]),
-    )
-    nn.save_params(params, os.path.join(out, "weights.viapnet"))
-    with open(os.path.join(out, "train_log.csv"), "w") as fh:
-        fh.write(train_mod.log_csv(log))
+    params = _train_and_save(cfg, ds, out)
     acc_tr, conf_tr = train_mod.evaluate_clean(params, ds.images[tr], ds.labels[tr])
     acc_te, conf_te = train_mod.evaluate_clean(params, ds.images[te], ds.labels[te])
     print(f"final train acc {acc_tr:.4f} (true softmax {conf_tr:.4f}), "
@@ -157,14 +173,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    file_cfg = _load_config_file(args.config)
     cfg = _merge(
         {
             "family": "viap", "eps": [5.0], "iterations": None, "target": "random",
             "rho": attacks.DEFAULT_RHO, "step": None, "literal_eq_step": False,
             "seed": 0, "object": 0,
         },
-        file_cfg.get("attack", file_cfg),
+        _section(_load_config_file(args.config), "attack"),
         {
             "family": args.family, "eps": args.eps, "iterations": args.iters,
             "target": args.target, "seed": args.seed, "object": args.object,
@@ -177,7 +192,10 @@ def cmd_attack(args) -> int:
     ds = render.load_dataset(args.dataset)
     params = nn.load_params(args.weights)
     family = cfg["family"]
-    eps = cfg["eps"][0] if isinstance(cfg["eps"], list) else float(cfg["eps"])
+    eps = cfg["eps"] if isinstance(cfg["eps"], list) else [cfg["eps"]]
+    if len(eps) != 1:
+        raise ValueError(f"attack crafts at one eps; got {eps} (use sweep for a grid)")
+    eps = float(eps[0])
     o = cfg["object"]
     tr = ds.indices("train", object_id=o)
     te = ds.indices("test", object_id=o)
@@ -244,7 +262,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _check_sections(_load_config_file(args.config))
     dataset_cfg = _merge(DEFAULT_DATASET_CFG, file_cfg.get("dataset", {}))
     train_cfg = _merge(DEFAULT_TRAIN_CFG, file_cfg.get("train", {}))
     sweep_cfg = _merge(
@@ -267,53 +285,17 @@ def cmd_sweep(args) -> int:
     if args.dataset:
         ds = render.load_dataset(args.dataset)
     else:
-        ds = render.generate_dataset(
-            out_dir=os.path.join(out, "dataset"),
-            classes=tuple(dataset_cfg["classes"]),
-            objects_per_class=dataset_cfg["objects_per_class"],
-            views_per_object=dataset_cfg["views_per_object"],
-            train_views=dataset_cfg["train_views"],
-            seed=dataset_cfg["seed"],
-            jitter_frac=dataset_cfg["jitter_frac"],
-            axis_restrict=dataset_cfg["axis_restrict"],
-            image_size=dataset_cfg["image_size"],
-            camera_radius=dataset_cfg["camera_radius"],
-        )
+        ds = render.generate_dataset(out_dir=os.path.join(out, "dataset"), **dataset_cfg)
 
     if args.weights:
         params = nn.load_params(args.weights)
     else:
-        tr, te = ds.indices("train"), ds.indices("test")
-        params = train_mod.init_params(
-            train_cfg["seed"], *ds.manifest.image_shape[:2],
-            ds.manifest.image_shape[2], ds.n_classes,
-        )
-        tcfg = train_mod.TrainConfig(
-            epochs=train_cfg["epochs"], batch_size=train_cfg["batch_size"],
-            lr=train_cfg["lr"], momentum=train_cfg["momentum"], seed=train_cfg["seed"],
-        )
-        params, log = train_mod.train(
-            params, ds.images[tr], ds.labels[tr], tcfg, val=(ds.images[te], ds.labels[te])
-        )
-        model_dir = os.path.join(out, "model")
-        os.makedirs(model_dir, exist_ok=True)
-        nn.save_params(params, os.path.join(model_dir, "weights.viapnet"))
-        with open(os.path.join(model_dir, "train_log.csv"), "w") as fh:
-            fh.write(train_mod.log_csv(log))
+        params = _train_and_save(train_cfg, ds, os.path.join(out, "model"))
 
-    scfg = evaluate.SweepConfig(
-        eps_grid=tuple(sweep_cfg["eps_grid"]),
-        families=tuple(sweep_cfg["families"]),
-        iterations=sweep_cfg["iterations"],
-        seed=global_seed,
-        rho=sweep_cfg["rho"],
-        step=sweep_cfg["step"],
-        literal_eq_step=sweep_cfg["literal_eq_step"],
-        ttest_eps=sweep_cfg["ttest_eps"],
-        gate_train=sweep_cfg["gate_train"],
-        gate_test=sweep_cfg["gate_test"],
-        jobs=sweep_cfg["jobs"],
-    )
+    scfg = evaluate.SweepConfig(**{
+        **sweep_cfg, "seed": global_seed,
+        "eps_grid": tuple(sweep_cfg["eps_grid"]), "families": tuple(sweep_cfg["families"]),
+    })
     result = evaluate.confidence_sweep(params, ds, config=scfg)
     files = evaluate.emit_report(result, result.ttests, out)
 

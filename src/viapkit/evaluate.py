@@ -246,6 +246,8 @@ class SweepResult:
 
 def draw_target(rng: np.random.Generator, true_label: int, n_classes: int) -> int:
     """Uniform over labels, re-drawing until it differs from the true one."""
+    if n_classes < 2:
+        raise ValueError(f"a target label needs at least 2 classes; the dataset has {n_classes}")
     t = int(rng.integers(0, n_classes))
     while t == true_label:
         t = int(rng.integers(0, n_classes))

@@ -9,11 +9,12 @@ differences coordinate by coordinate.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 CONV1_CHANNELS = 8
 CONV2_CHANNELS = 16
@@ -42,12 +43,15 @@ def _patches(x: np.ndarray) -> np.ndarray:
     """3x3 zero-padded patch matrix of an NHWC batch: (B, H, W, 9*C).
 
     Patch columns are ordered (row, col, channel) to match a reshaped
-    (3, 3, C, out) kernel.
+    (3, 3, C, out) kernel. The 3 pixels x C channels of one kernel row are
+    contiguous in the padded image, so one strided view covers every patch.
     """
-    padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    win = sliding_window_view(padded, (KERNEL, KERNEL), axis=(1, 2))
-    b, h, w = x.shape[0], x.shape[1], x.shape[2]
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(b, h, w, -1)
+    b, h, w, c = x.shape
+    padded = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
+    padded[:, 1:-1, 1:-1] = x
+    s = padded.strides
+    rows = as_strided(padded, (b, h, w, KERNEL, KERNEL * c), (s[0], s[1], s[2], s[1], s[3]))
+    return np.ascontiguousarray(rows).reshape(b, h, w, -1)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,36 +82,32 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
+def _quadrants(x: np.ndarray) -> list[np.ndarray]:
+    """Views of window positions (0,0), (0,1), (1,0), (1,1), cropped to even H, W."""
+    h2, w2 = x.shape[1] // 2 * 2, x.shape[2] // 2 * 2
+    return [x[:, r:h2:2, s:w2:2] for r in (0, 1) for s in (0, 1)]
+
+
 def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """2x2 max pooling with stride 2; trailing odd row/col is dropped.
 
-    Returns (pooled, idx) where idx holds the argmax position (0..3, first
-    maximum wins ties) inside each window, as needed to route gradients back.
+    Returns (pooled, route) where route is an int8 array holding the window
+    position (0..3, in the order of _quadrants) each maximum came from. The
+    first maximum wins ties, as for argmax. The input is a relu output, which
+    holds no -0.0; on a -0.0/+0.0 tie the pooled zero's sign follows np.maximum.
     """
-    b, h, w, c = x.shape
-    h2, w2 = h // 2, w // 2
-    win = (
-        x[:, : h2 * 2, : w2 * 2, :]
-        .reshape(b, h2, 2, w2, 2, c)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(b, h2, w2, c, 4)
-    )
-    idx = win.argmax(axis=4)
-    out = np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
-    return out, idx
+    q = _quadrants(x)
+    out = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+    route = np.where(q[0] == out, 0, np.where(q[1] == out, 1, np.where(q[2] == out, 2, 3)))
+    return out, route.astype(np.int8)
 
 
-def maxpool2_input_grad(dy: np.ndarray, idx: np.ndarray, x_shape: tuple) -> np.ndarray:
-    b, h, w, c = x_shape
-    h2, w2 = h // 2, w // 2
-    dwin = np.zeros((b, h2, w2, c, 4), dtype=np.float64)
-    np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=4)
-    dx = np.zeros(x_shape, dtype=np.float64)
-    dx[:, : h2 * 2, : w2 * 2, :] = (
-        dwin.reshape(b, h2, w2, c, 2, 2)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(b, h2 * 2, w2 * 2, c)
-    )
+def maxpool2_input_grad(dy: np.ndarray, route: np.ndarray, x_shape: tuple) -> np.ndarray:
+    """Send each pooled gradient to its route's position; every other input gets +0.0."""
+    odd = x_shape[1] % 2 or x_shape[2] % 2
+    dx = np.zeros(x_shape) if odd else np.empty(x_shape)
+    for k, q in enumerate(_quadrants(dx)):
+        q[...] = np.where(route == k, dy, 0.0)
     return dx
 
 
@@ -354,18 +354,21 @@ def save_params(params: ModelParams, path) -> None:
             _write_record(fh, name, getattr(params, name))
 
 
-def _read_record(buf: bytes, pos: int) -> tuple[str, np.ndarray, int]:
-    (name_len,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    name = buf[pos : pos + name_len].decode("utf-8")
-    pos += name_len
-    (rank,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    shape = struct.unpack_from(f"<{rank}I", buf, pos)
-    pos += 4 * rank
-    count = int(np.prod(shape)) if rank else 1
-    arr = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(shape)
-    pos += 8 * count
+def _read_record(buf: bytes, pos: int, path) -> tuple[str, np.ndarray, int]:
+    """Parse the record at pos; ValueError where a field runs past the end of buf."""
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(buf):
+            raise ValueError(f"{path}: truncated record, {n} bytes at offset {pos} run past the end")
+        pos += n
+        return buf[pos - n : pos]
+
+    (name_len,) = struct.unpack("<I", take(4))
+    name = take(name_len).decode("utf-8", errors="replace")
+    (rank,) = struct.unpack("<I", take(4))
+    shape = struct.unpack(f"<{rank}I", take(4 * rank))
+    arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
     return name, arr, pos
 
 
@@ -377,10 +380,13 @@ def load_params(path) -> ModelParams:
     pos = len(PARAMS_MAGIC)
     records: dict[str, np.ndarray] = {}
     while pos < len(buf):
-        name, arr, pos = _read_record(buf, pos)
+        name, arr, pos = _read_record(buf, pos, path)
+        if name in records or name not in ("arch", *PARAM_FIELDS):
+            raise ValueError(f"{path}: unexpected or repeated record {name!r}")
         records[name] = arr
     try:
         arch = records.pop("arch")
+        require_finite(f"{path}: arch", arch)
         h, w, c, k = (int(v) for v in arch)
         return ModelParams(h, w, c, k, **{name: records[name] for name in PARAM_FIELDS})
     except KeyError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 from mpmath import mp, mpf
+from numpy.lib.stride_tricks import sliding_window_view
 
 from viapkit import nn
 
@@ -117,6 +118,47 @@ def safe_config(seed: int, max_attempts: int = 200):
         if zmin > _Z_MARGIN and gap > _GAP_MARGIN:
             return params, x, labels
     raise RuntimeError(f"no kink-free configuration found for seed {seed}")
+
+
+# --- reference layer kernels -----------------------------------------------
+# The argmax pool and the np.pad im2col the package used before its slice-based
+# kernels; the package's kernels must match these bit for bit.
+
+def patches_reference(x: np.ndarray) -> np.ndarray:
+    """3x3 zero-padded patch matrix (B, H, W, 9*C), columns (row, col, channel)."""
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    win = sliding_window_view(padded, (3, 3), axis=(1, 2))
+    b, h, w = x.shape[0], x.shape[1], x.shape[2]
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(b, h, w, -1)
+
+
+def maxpool2_reference(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2/2 max pool via argmax (first maximum wins); returns (pooled, argmax 0..3)."""
+    b, h, w, c = x.shape
+    h2, w2 = h // 2, w // 2
+    win = (
+        x[:, : h2 * 2, : w2 * 2, :]
+        .reshape(b, h2, 2, w2, 2, c)
+        .transpose(0, 1, 3, 5, 2, 4)
+        .reshape(b, h2, w2, c, 4)
+    )
+    idx = win.argmax(axis=4)
+    out = np.take_along_axis(win, idx[..., None], axis=4)[..., 0]
+    return out, idx
+
+
+def maxpool2_input_grad_reference(dy: np.ndarray, idx: np.ndarray, x_shape: tuple) -> np.ndarray:
+    b, h, w, c = x_shape
+    h2, w2 = h // 2, w // 2
+    dwin = np.zeros((b, h2, w2, c, 4), dtype=np.float64)
+    np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=4)
+    dx = np.zeros(x_shape, dtype=np.float64)
+    dx[:, : h2 * 2, : w2 * 2, :] = (
+        dwin.reshape(b, h2, w2, c, 2, 2)
+        .transpose(0, 1, 4, 2, 5, 3)
+        .reshape(b, h2 * 2, w2 * 2, c)
+    )
+    return dx
 
 
 # --- Welch reference -------------------------------------------------------

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,3 +332,46 @@ def test_load_perturbation_rejects_bad_magic(tmp_path):
     path.write_bytes(b"WRONGMAG" + b"\x00" * 16)
     with pytest.raises(ValueError):
         attacks.load_perturbation(path)
+
+
+def saved_perturbation_bytes(tmp_path) -> bytes:
+    cfg = attacks.AttackConfig("viap", 4.0)
+    p = attacks.Perturbation(np.full((4, 4, 3), cfg.eps_unit / 2), cfg, (0, 1), 0.5)
+    path = tmp_path / "d.viapdlt"
+    attacks.save_perturbation(p, path)
+    return path.read_bytes()
+
+
+def test_load_perturbation_rejects_truncated_and_extended_files(tmp_path):
+    buf = saved_perturbation_bytes(tmp_path)
+    path = tmp_path / "bad.viapdlt"
+    for blob in [buf[:cut] for cut in (*range(8, 40), len(buf) - 8, len(buf) - 1)] + [
+        buf + b"\x00\x00\x00", buf + b"\x00" * 8,
+    ]:
+        path.write_bytes(blob)
+        with pytest.raises(ValueError):
+            attacks.load_perturbation(path)
+
+
+def test_load_perturbation_rejects_bad_headers(tmp_path):
+    buf = saved_perturbation_bytes(tmp_path)
+    magic, start = attacks.DELTA_MAGIC, len(attacks.DELTA_MAGIC) + 4
+    (n,) = struct.unpack_from("<I", buf, len(magic))
+    header = json.loads(buf[start : start + n])
+    path = tmp_path / "bad.viapdlt"
+
+    def blob(head: bytes) -> bytes:
+        return magic + struct.pack("<I", len(head)) + head + buf[start + n :]
+
+    bad = [
+        magic + struct.pack("<I", 2**32 - 1) + buf[start:],  # length past the end
+        blob(b"{not json"),
+        blob(b"\xff\xfe"),
+        blob(json.dumps({k: v for k, v in header.items() if k != "config"}).encode()),
+        blob(json.dumps({**header, "shape": [4, 4, 4]}).encode()),
+        blob(json.dumps({**header, "shape": "abc"}).encode()),
+    ]
+    for b in bad:
+        path.write_bytes(b)
+        with pytest.raises(ValueError):
+            attacks.load_perturbation(path)

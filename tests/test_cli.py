@@ -167,3 +167,75 @@ def test_module_entrypoint_help():
     assert proc.returncode == 0
     for word in ("dataset", "train", "attack", "sweep", "verify"):
         assert word in proc.stdout
+
+
+def last_error(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    ("dataset", {"epochz": 1}, "epochz"),
+    ("dataset", {"dataset": {"views_per_objekt": 4}}, "views_per_objekt"),
+    ("dataset", {"dataset": TINY_DS, "trian": {"epochs": 1}}, "trian"),
+    ("train", {"train": {"epochz": 1}}, "epochz"),
+    ("attack", {"attack": {"epz": [1.0]}}, "epz"),
+    ("sweep", {"sweep": {"famillies": ["fgsm"]}}, "famillies"),
+    ("sweep", {"eps_grid": [1.0]}, "eps_grid"),
+    ("train", {"train": [1]}, "JSON objects"),
+])
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, command, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_USAGE
+    payload = last_error(capsys)
+    assert payload["error"] == "usage"
+    assert key in payload["message"]
+    assert not (out / "config.json").exists()
+
+
+def test_sectioned_config_with_every_section(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 5, "dataset": TINY_DS, "train": {"epochs": 1}, "attack": {"family": "fgsm"},
+        "sweep": {"iterations": 2},
+    }))
+    out = tmp_path / "ds"
+    assert cli.main(["dataset", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads((out / "config.json").read_text())["seed"] == 3
+
+
+def test_dataset_reads_config_file_once(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY_DS))
+    reads = []
+    load = cli._load_config_file
+    monkeypatch.setattr(cli, "_load_config_file", lambda path: reads.append(path) or load(path))
+    assert cli.main(["dataset", "--config", str(cfg), "--out", str(tmp_path / "d")]) == cli.EXIT_OK
+    assert reads == [str(cfg)]
+
+
+def test_attack_rejects_an_eps_list(tiny_run, capsys):
+    root, _, ds_dir, model_dir = tiny_run
+    out = root / "atk-eps-list"
+    rc = cli.main([
+        "attack", "--dataset", str(ds_dir), "--weights", str(model_dir / "weights.viapnet"),
+        "--family", "fgsm", "--eps", "1,3,5", "--out", str(out),
+    ])
+    assert rc == cli.EXIT_USAGE
+    assert "1.0, 3.0, 5.0" in last_error(capsys)["message"]
+    assert not (out / "delta.viapdlt").exists()
+
+
+def test_malformed_weights_are_usage_errors(tiny_run, tmp_path, capsys):
+    _, _, ds_dir, model_dir = tiny_run
+    bad = tmp_path / "w.viapnet"
+    bad.write_bytes((model_dir / "weights.viapnet").read_bytes() + b"\x00\x00\x00")
+    for argv in (
+        ["attack", "--family", "fgsm", "--eps", "2"],
+        ["sweep", "--family", "fgsm", "--eps", "0,2"],
+    ):
+        rc = cli.main(argv + ["--dataset", str(ds_dir), "--weights", str(bad),
+                              "--out", str(tmp_path / argv[0])])
+        assert rc == cli.EXIT_USAGE
+        assert str(bad) in last_error(capsys)["message"]

@@ -6,7 +6,7 @@ import scipy.special
 import scipy.stats
 
 import oracles
-from viapkit import attacks, evaluate, nn, train
+from viapkit import attacks, evaluate, nn, render, train
 
 
 # --- top-1 metrics -----------------------------------------------------------
@@ -173,6 +173,17 @@ def test_sweep_gate_failure(tiny_dataset):
     with pytest.raises(evaluate.GateFailure) as err:
         evaluate.confidence_sweep(untrained, tiny_dataset)
     assert "train_acc" in err.value.diag
+
+
+def test_sweep_rejects_one_class_dataset():
+    ds = render.generate_dataset(classes=("cube",), objects_per_class=1, views_per_object=2)
+    params = train.init_params(0, classes=1)
+    config = evaluate.SweepConfig(eps_grid=(0.0,), families=("fgsm",), gate_train=0.0, gate_test=0.0)
+    with pytest.raises(ValueError, match="at least 2 classes"):
+        evaluate.confidence_sweep(params, ds, config=config)
+    rng = np.random.Generator(np.random.PCG64(0))
+    with pytest.raises(ValueError, match="at least 2 classes"):
+        evaluate.draw_target(rng, 0, 1)
 
 
 def test_sweep_ttests_present(tiny_dataset, victim):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -181,6 +182,103 @@ def test_grad_determinism(rng):
     assert l1 == l2 and np.array_equal(g1, g2)
 
 
+# --- kernels against the reference implementations -------------------------
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def tied_batch(rng, shape):
+    """Random NHWC batch in which two of every three 2x2 windows hold a 4-tuple
+    over (-1, -0.0, +0.0, 1): all-zero windows, signed-zero ties, and a
+    maximum duplicated between every pair of window positions."""
+    b, h, w, c = shape
+    x = rng.uniform(-1.0, 1.0, size=shape)
+    patterns = np.array(list(itertools.product((-1.0, -0.0, 0.0, 1.0), repeat=4)))
+    pick = np.flatnonzero(np.arange(b * (h // 2) * (w // 2) * c) % 3 != 2)
+    rows = patterns[np.arange(len(pick)) % len(patterns)]
+    for k, (r, s) in enumerate(itertools.product((0, 1), repeat=2)):
+        window_pos = x[:, r : h // 2 * 2 : 2, s : w // 2 * 2 : 2]
+        flat = window_pos.reshape(-1)
+        flat[pick] = rows[:, k]
+        window_pos[...] = flat.reshape(window_pos.shape)
+    return x
+
+
+KERNEL_SHAPES = [(1, 9, 11, 3), (7, 13, 32, 8), (112, 16, 15, 16)]
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_pool_matches_argmax_reference(rng, shape):
+    x = tied_batch(rng, shape)
+    relu_x = nn.relu(x)
+    # the network pools relu outputs, which hold no -0.0; on raw input a
+    # -0.0/+0.0 tie may pool to either sign, so only values are compared there
+    assert not np.signbit(relu_x).any()
+    for inp in (x, relu_x):
+        out, route = nn.maxpool2(inp)
+        ref_out, ref_idx = oracles.maxpool2_reference(inp)
+        assert route.dtype == np.int8
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(route, ref_idx)
+        if inp is relu_x:
+            assert_same_bits(out, ref_out)
+        dy = rng.standard_normal(out.shape)
+        dy[::2] = -0.0
+        assert_same_bits(
+            nn.maxpool2_input_grad(dy, route, shape),
+            oracles.maxpool2_input_grad_reference(dy, ref_idx, shape),
+        )
+
+
+def test_pool_ties_route_to_the_first_maximum():
+    # one window per position k holding the maximum 1.0 at k and at every later position
+    x = np.zeros((4, 2, 2, 1))
+    for k in range(4):
+        x[k].reshape(-1)[k:] = 1.0
+    out, route = nn.maxpool2(x)
+    assert out.reshape(-1).tolist() == [1.0] * 4
+    assert route.reshape(-1).tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_patches_match_pad_reference(rng, shape):
+    x = tied_batch(rng, shape)
+    assert_same_bits(nn._patches(x), oracles.patches_reference(x))
+
+
+@pytest.mark.parametrize("batch,hw", [(1, (9, 11)), (7, (32, 32)), (112, (13, 32))])
+def test_graph_matches_reference_kernels(rng, monkeypatch, batch, hw):
+    h, w = hw
+    feat = (h // 4) * (w // 4) * nn.CONV2_CHANNELS
+    u = lambda *s: rng.uniform(-0.5, 0.5, size=s)
+    params = nn.ModelParams(
+        h, w, 3, 4,
+        conv1_w=u(3, 3, 3, nn.CONV1_CHANNELS), conv1_b=u(nn.CONV1_CHANNELS) - 0.3,
+        conv2_w=u(3, 3, nn.CONV1_CHANNELS, nn.CONV2_CHANNELS), conv2_b=u(nn.CONV2_CHANNELS) - 0.3,
+        dense_w=u(feat, 4), dense_b=u(4),
+    )
+    x = rng.uniform(0.0, 1.0, size=(batch, h, w, 3))
+    x[::3] = 0.5  # flat images: tied maxima in every interior window
+    x[1::3, : h // 2] = 0.0
+    labels = rng.integers(0, 4, size=batch)
+
+    def run():
+        graph = nn.forward_graph(params, x)
+        dlogits = nn.softmax(graph.logits) - np.eye(4)[labels]
+        dx, grads = graph.backward(dlogits, need_input=True, need_params=True)
+        return [graph.logits, graph.p1, graph.p2, dx] + [getattr(grads, f) for f in nn.PARAM_FIELDS]
+
+    new = run()
+    monkeypatch.setattr(nn, "_patches", oracles.patches_reference)
+    monkeypatch.setattr(nn, "maxpool2", oracles.maxpool2_reference)
+    monkeypatch.setattr(nn, "maxpool2_input_grad", oracles.maxpool2_input_grad_reference)
+    for a, b in zip(new, run()):
+        assert_same_bits(a, b)
+
+
 # --- serialization ----------------------------------------------------------
 
 def test_params_roundtrip_bit_exact(rng, tmp_path):
@@ -219,3 +317,47 @@ def test_model_params_immutable(rng):
     params = rand_params(rng)
     with pytest.raises((ValueError, RuntimeError)):
         params.conv1_w[0, 0, 0, 0] = 1.0
+
+
+def saved_params_bytes(rng, tmp_path) -> bytes:
+    path = tmp_path / "w.viapnet"
+    nn.save_params(rand_params(rng, hw=8, channels=2, classes=3), path)
+    return path.read_bytes()
+
+
+def test_load_rejects_truncated_files(rng, tmp_path):
+    buf = saved_params_bytes(rng, tmp_path)
+    path = tmp_path / "cut.viapnet"
+    # every cut inside the magic and the first two records' headers, then the tail
+    for cut in [*range(1, 160), len(buf) - 8, len(buf) - 1]:
+        path.write_bytes(buf[:cut])
+        with pytest.raises(ValueError):
+            nn.load_params(path)
+
+
+@pytest.mark.parametrize("extra", [b"\x00\x00\x00", b"\x01\x00\x00\x00a", b"\xff" * 12])
+def test_load_rejects_trailing_bytes(rng, tmp_path, extra):
+    path = tmp_path / "long.viapnet"
+    path.write_bytes(saved_params_bytes(rng, tmp_path) + extra)
+    with pytest.raises(ValueError):
+        nn.load_params(path)
+
+
+def test_load_rejects_bad_record_headers(rng, tmp_path):
+    buf = saved_params_bytes(rng, tmp_path)
+    path = tmp_path / "bad.viapnet"
+    name_len = len(nn.PARAMS_MAGIC)
+    rank = name_len + 4 + len(b"arch")
+    for pos, value in ((name_len, 2**32 - 1), (rank, 2**32 - 1), (rank + 4, 2**31)):
+        path.write_bytes(buf[:pos] + value.to_bytes(4, "little") + buf[pos + 4 :])
+        with pytest.raises(ValueError):
+            nn.load_params(path)
+    # a non-finite architecture extent
+    height = rank + 4 + 4
+    path.write_bytes(buf[:height] + np.array(np.inf, dtype="<f8").tobytes() + buf[height + 8 :])
+    with pytest.raises(ValueError, match="non-finite"):
+        nn.load_params(path)
+    # a second copy of a record
+    path.write_bytes(buf + buf[len(nn.PARAMS_MAGIC) :])
+    with pytest.raises(ValueError, match="repeated"):
+        nn.load_params(path)
