@@ -52,11 +52,13 @@ def main():
             print(f"  iter {n + 1:>3}  batch loss {loss:.4f}  |delta|_inf "
                   f"{np.abs(delta).max() * 255:.2f}/255")
 
-    pert = attacks.viap(params, views_tr, cfg, trace=progress)
+    xc, yc = render.stack_views(views_tr)
+    pert = attacks.viap_arrays(params, xc, yc, cfg, view_ids=[v.view_id for v in views_tr],
+                               trace=progress)
 
     # per-image baseline: mean of the crafting views' own FGSM deltas
-    xc, yc = render.stack_views(views_tr)
-    fgsm_delta = (attacks.fgsm_batch(params, xc, yc, args.eps) - xc).mean(axis=0)
+    fgsm = attacks.AttackConfig(family="fgsm", eps=args.eps)
+    fgsm_delta = (attacks.bim_batch(params, xc, yc, fgsm) - xc).mean(axis=0)
 
     print(f"\n{'view':>6} {'split':>6} {'clean':>8} {'viap':>8} {'fgsm-mean':>9}")
     for views, split in ((views_tr, "train"), (views_te, "test")):

@@ -1,9 +1,11 @@
 """Adversarial attack families: FGSM, BIM, and view-invariant perturbations.
 
 All epsilons and step sizes in configs are on the 0-255 scale (so eps=5 means
-5/255 in image units); conversion happens here, once. The VIAP families craft
-a single image-shaped noise field over a stack of views of one object; the
-per-image families perturb each image independently.
+5/255 in image units); conversion happens here, once. Two sign-step kernels
+serve the six families: bim_batch perturbs each image of a stack
+independently (fgsm, fgsm-t, bim, bim-t; fgsm is its single eps-sized step),
+and viap_arrays crafts one image-shaped noise field shared by a stack of
+views of one object (viap, viap-t).
 """
 
 from __future__ import annotations
@@ -11,12 +13,11 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from viapkit import nn
-from viapkit.render import stack_views
 
 FAMILIES = ("fgsm", "fgsm-t", "bim", "bim-t", "viap", "viap-t")
 TARGETED_FAMILIES = frozenset({"fgsm-t", "bim-t", "viap-t"})
@@ -40,7 +41,7 @@ class AttackConfig:
 
     family: str
     eps: float
-    step: float | None = None       # None -> max(2.5*eps/N, 0.5)/255
+    step: float | None = None       # None -> max(2.5*eps/N, 0.5)/255; fgsm families ignore it
     iterations: int | None = None   # None -> 1 for FGSM families, 20 otherwise
     target: int | None = None
     rho: float = DEFAULT_RHO        # VIAP init amplitude, already in [0,1] units
@@ -74,15 +75,12 @@ class AttackConfig:
 
     @property
     def step_unit(self) -> float:
-        """Per-iteration step in [0,1] image units."""
-        if self.literal_eq_step:
-            return self.eps / 255.0
+        """Per-iteration step in [0,1] image units; eps itself for fgsm families."""
+        if self.literal_eq_step or self.family in SINGLE_STEP_FAMILIES:
+            return self.eps_unit
         if self.step is not None:
             return self.step / 255.0
         return max(2.5 * self.eps / self.iterations, MIN_AUTO_STEP) / 255.0
-
-    def with_target(self, target: int) -> "AttackConfig":
-        return replace(self, target=int(target))
 
     def to_json_dict(self) -> dict:
         return {
@@ -127,35 +125,23 @@ def apply_delta(delta: np.ndarray, images: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Per-image families
+# Sign-step kernels
 # ---------------------------------------------------------------------------
 
-def _label_vec(y, batch: int) -> np.ndarray:
-    y = np.asarray(y, dtype=np.int64)
-    if y.ndim == 0:
-        return np.full(batch, int(y), dtype=np.int64)
-    return y
+def loss_labels(config: AttackConfig, labels) -> np.ndarray:
+    """Labels whose loss an attack steps on, given the true labels of a stack.
 
-
-def fgsm_batch(params: nn.ModelParams, images: np.ndarray, labels, eps: float) -> np.ndarray:
-    """One ascent step on the true-label loss, per image; range-clamped."""
-    images = nn.as_f64(images)
-    _, grad = nn.loss_and_input_grad(params, images, _label_vec(labels, images.shape[0]))
-    return np.clip(images + (eps / 255.0) * np.sign(grad), 0.0, 1.0)
-
-
-def fgsm_targeted_batch(
-    params: nn.ModelParams, images: np.ndarray, target, eps: float, plus_form: bool = False
-) -> np.ndarray:
-    """One descent step on the target-label loss (default minus form).
-
-    plus_form=True gives the ascending variant instead, for completeness; it
-    pushes confidence off the target rather than toward it.
+    Untargeted families ascend the true-label loss; targeted ones descend the
+    loss of config.target, which must exist and differ from every true label.
     """
-    images = nn.as_f64(images)
-    _, grad = nn.loss_and_input_grad(params, images, _label_vec(target, images.shape[0]))
-    sgn = 1.0 if plus_form else -1.0
-    return np.clip(images + sgn * (eps / 255.0) * np.sign(grad), 0.0, 1.0)
+    labels = np.asarray(labels, dtype=np.int64)
+    if not targeted(config.family):
+        return labels
+    if config.target is None:
+        raise ValueError(f"{config.family} needs a target label in the config")
+    if np.any(labels == config.target):
+        raise ValueError(f"target label {config.target} equals a true label of the stack")
+    return np.full(labels.shape, int(config.target), dtype=np.int64)
 
 
 def bim_batch(
@@ -167,9 +153,10 @@ def bim_batch(
 ) -> np.ndarray:
     """Iterated sign steps with per-iteration ball and range clipping, per image.
 
-    Each image in the stack evolves independently (sign() makes the batch
-    mean-loss scaling irrelevant). For family bim-t the step descends the
-    target-label loss; labels must then be the target.
+    The kernel of fgsm, fgsm-t, bim and bim-t; fgsm is one step of size eps.
+    labels are the true labels; a targeted family reads its target from
+    config. Each image in the stack evolves independently (sign() makes the
+    batch mean-loss scaling irrelevant).
 
     The budget accumulates in its own field rather than by clipping the
     position against the ball: the forms agree mathematically, but only this
@@ -177,7 +164,7 @@ def bim_batch(
     the range clamp is slack.
     """
     images = nn.as_f64(images)
-    y = _label_vec(labels, images.shape[0])
+    y = loss_labels(config, labels)
     e = config.eps_unit
     step = config.step_unit
     sgn = -1.0 if targeted(config.family) else 1.0
@@ -190,30 +177,6 @@ def bim_batch(
         if trace is not None:
             trace(n, adv)
     return adv
-
-
-def fgsm(params: nn.ModelParams, view, eps: float) -> np.ndarray:
-    return fgsm_batch(params, view.image[None], view.label, eps)[0]
-
-
-def fgsm_targeted(
-    params: nn.ModelParams, view, eps: float, target: int, plus_form: bool = False
-) -> np.ndarray:
-    if target == view.label:
-        raise ValueError("target label equals the true label")
-    return fgsm_targeted_batch(params, view.image[None], target, eps, plus_form)[0]
-
-
-def bim(params: nn.ModelParams, view, config: AttackConfig) -> np.ndarray:
-    if targeted(config.family):
-        if config.target is None:
-            raise ValueError("bim-t needs a target label")
-        if config.target == view.label:
-            raise ValueError("target label equals the true label")
-        y = config.target
-    else:
-        y = view.label
-    return bim_batch(params, view.image[None], y, config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +207,6 @@ class Perturbation:
         return apply_delta(self.delta, images)
 
 
-def apply(perturbation: Perturbation, view) -> np.ndarray:
-    """clamp(X + delta, 0, 1) — the same delta bits for any view passed in."""
-    return apply_delta(perturbation.delta, view.image)
-
-
 def shared_gradient(
     params: nn.ModelParams, images: np.ndarray, labels
 ) -> tuple[float, np.ndarray]:
@@ -259,7 +217,7 @@ def shared_gradient(
     computes it.
     """
     images = nn.as_f64(images)
-    loss, grad = nn.loss_and_input_grad(params, images, _label_vec(labels, images.shape[0]))
+    loss, grad = nn.loss_and_input_grad(params, images, labels)
     return loss, grad.sum(axis=0)
 
 
@@ -268,13 +226,13 @@ def viap_arrays(
     images: np.ndarray,
     labels: np.ndarray,
     config: AttackConfig,
-    is_targeted: bool | None = None,
     view_ids=(),
     trace=None,
 ) -> Perturbation:
-    """Craft a universal delta over a stack of views (array-level core).
+    """Craft one universal delta over a stack of views: the viap / viap-t kernel.
 
-    delta starts at U(-rho, rho) projected into the ball, then takes
+    labels are the true labels; viap-t reads its target from config. delta
+    starts at U(-rho, rho) projected into the ball, then takes
     sign-of-shared-gradient steps — ascending the true-label loss
     (untargeted) or descending the target-label loss (targeted) — with a
     clamp back to [-eps, +eps] after every update. The crafting batch is the
@@ -284,21 +242,11 @@ def viap_arrays(
     images = nn.as_f64(images)
     if images.ndim != 4 or images.shape[0] < 1:
         raise ValueError("need a non-empty stack of views")
-    if is_targeted is None:
-        is_targeted = targeted(config.family)
-    true_labels = np.asarray(labels, dtype=np.int64)
-    if is_targeted:
-        if config.target is None:
-            raise ValueError("targeted mode needs a target label in the config")
-        if int(config.target) in set(true_labels.tolist()):
-            raise ValueError("target label equals a true label of the view stack")
-        y = np.full(images.shape[0], int(config.target), dtype=np.int64)
-    else:
-        y = true_labels
+    y = loss_labels(config, labels)
 
     e = config.eps_unit
     step = config.step_unit
-    sgn = -1.0 if is_targeted else 1.0
+    sgn = -1.0 if targeted(config.family) else 1.0
     shape = images.shape[1:]
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
@@ -313,21 +261,6 @@ def viap_arrays(
 
     final_loss, _ = nn.softmax_cross_entropy(nn.forward(params, images + delta), y)
     return Perturbation(delta=delta, config=config, view_ids=view_ids, final_loss=final_loss)
-
-
-def viap(
-    params: nn.ModelParams,
-    views,
-    config: AttackConfig,
-    is_targeted: bool | None = None,
-    trace=None,
-) -> Perturbation:
-    """Craft a view-invariant perturbation from a list of labeled views."""
-    images, labels = stack_views(views)
-    return viap_arrays(
-        params, images, labels, config, is_targeted,
-        view_ids=[v.view_id for v in views], trace=trace,
-    )
 
 
 # ---------------------------------------------------------------------------

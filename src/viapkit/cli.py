@@ -137,16 +137,16 @@ def cmd_dataset(args) -> int:
     return EXIT_OK
 
 
-def _train_and_save(cfg: dict, ds, out) -> nn.ModelParams:
-    """Train the victim on ds's train split; write weights.viapnet and train_log.csv."""
-    tr, te = ds.indices("train"), ds.indices("test")
-    params = train_mod.init_params(
-        cfg["seed"], *ds.manifest.image_shape[:2], ds.manifest.image_shape[2], ds.n_classes
-    )
-    params, log = train_mod.train(
-        params, ds.images[tr], ds.labels[tr], train_mod.TrainConfig(**cfg),
-        val=(ds.images[te], ds.labels[te]),
-    )
+def _splits(ds) -> tuple:
+    """Copies of ds's ((train images, labels), (test images, labels))."""
+    return tuple((ds.images[i], ds.labels[i]) for i in (ds.indices("train"), ds.indices("test")))
+
+
+def _train_and_save(cfg: dict, splits: tuple, n_classes: int, out) -> nn.ModelParams:
+    """Train the victim on the train split; write weights.viapnet and train_log.csv."""
+    (x_tr, y_tr), test = splits
+    params = train_mod.init_params(cfg["seed"], *x_tr.shape[1:], n_classes)
+    params, log = train_mod.train(params, x_tr, y_tr, train_mod.TrainConfig(**cfg), val=test)
     os.makedirs(out, exist_ok=True)
     nn.save_params(params, os.path.join(out, "weights.viapnet"))
     with open(os.path.join(out, "train_log.csv"), "w") as fh:
@@ -162,10 +162,14 @@ def cmd_train(args) -> int:
     _echo_config(cfg, out)
 
     ds = render.load_dataset(args.dataset)
-    tr, te = ds.indices("train"), ds.indices("test")
-    params = _train_and_save(cfg, ds, out)
-    acc_tr, conf_tr = train_mod.evaluate_clean(params, ds.images[tr], ds.labels[tr])
-    acc_te, conf_te = train_mod.evaluate_clean(params, ds.images[te], ds.labels[te])
+    n_classes, splits = ds.n_classes, _splits(ds)
+    # the splits are copies: dropping the full image array keeps one copy of
+    # each pixel in memory while training
+    del ds
+    params = _train_and_save(cfg, splits, n_classes, out)
+    (x_tr, y_tr), (x_te, y_te) = splits
+    acc_tr, conf_tr = train_mod.evaluate_clean(params, x_tr, y_tr)
+    acc_te, conf_te = train_mod.evaluate_clean(params, x_te, y_te)
     print(f"final train acc {acc_tr:.4f} (true softmax {conf_tr:.4f}), "
           f"test acc {acc_te:.4f} (true softmax {conf_te:.4f})")
     print(f"wrote weights.viapnet and train_log.csv to {out}")
@@ -207,8 +211,7 @@ def cmd_attack(args) -> int:
     target = None
     if attacks.targeted(family):
         if cfg["target"] == "random":
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg["seed"], 101, o])))
-            target = evaluate.draw_target(rng, true_label, ds.n_classes)
+            target = evaluate.draw_target(cfg["seed"], o, true_label, ds.n_classes)
         else:
             target = int(cfg["target"])
 
@@ -223,20 +226,13 @@ def cmd_attack(args) -> int:
             params, imgs, lbls, acfg, view_ids=ds.view_ids[tr].tolist()
         )
     else:
-        if family == "fgsm":
-            adv = attacks.fgsm_batch(params, imgs, lbls, eps)
-        elif family == "fgsm-t":
-            adv = attacks.fgsm_targeted_batch(params, imgs, target, eps)
-        else:
-            y = target if attacks.targeted(family) else lbls
-            adv = attacks.bim_batch(params, imgs, y, acfg)
-        noise = (adv - imgs).mean(axis=0)
+        adv = attacks.bim_batch(params, imgs, lbls, acfg)
         loss, _ = nn.softmax_cross_entropy(
-            nn.forward(params, adv),
-            np.full(len(lbls), target, dtype=np.int64) if target is not None else lbls,
+            nn.forward(params, adv), attacks.loss_labels(acfg, lbls)
         )
         pert = attacks.Perturbation(
-            delta=noise, config=acfg, view_ids=ds.view_ids[tr].tolist(), final_loss=loss
+            delta=(adv - imgs).mean(axis=0), config=acfg,
+            view_ids=ds.view_ids[tr].tolist(), final_loss=loss,
         )
 
     attacks.save_perturbation(pert, os.path.join(out, "delta.viapdlt"))
@@ -290,7 +286,7 @@ def cmd_sweep(args) -> int:
     if args.weights:
         params = nn.load_params(args.weights)
     else:
-        params = _train_and_save(train_cfg, ds, os.path.join(out, "model"))
+        params = _train_and_save(train_cfg, _splits(ds), ds.n_classes, os.path.join(out, "model"))
 
     scfg = evaluate.SweepConfig(**{
         **sweep_cfg, "seed": global_seed,
@@ -362,12 +358,17 @@ def cmd_verify(args) -> int:
 
     def chk_reductions():
         p, x, y = small_model()
+        eps = 4.0
         for i in range(x.shape[0]):
-            eps = 4.0
-            f = attacks.fgsm_batch(p, x[i : i + 1], y[i : i + 1], eps)
-            cfg = attacks.AttackConfig(family="bim", eps=eps, iterations=1, literal_eq_step=True)
-            b = attacks.bim_batch(p, x[i : i + 1], y[i : i + 1], cfg)
-            assert np.array_equal(f, b), "bim(1, step=eps) != fgsm"
+            xi, yi = x[i : i + 1], y[i : i + 1]
+            # the closed-form fgsm step: clip(x + eps/255 * sign(grad), 0, 1)
+            _, grad = nn.loss_and_input_grad(p, xi, yi)
+            closed = np.clip(xi + (eps / 255.0) * np.sign(grad), 0.0, 1.0)
+            for family in ("fgsm", "bim"):
+                cfg = attacks.AttackConfig(family=family, eps=eps, iterations=1,
+                                           literal_eq_step=True)
+                got = attacks.bim_batch(p, xi, yi, cfg)
+                assert np.array_equal(got, closed), f"{family}(1, step=eps) != closed-form fgsm"
 
     def chk_welch():
         r = evaluate.welch_ttest([-2.0, -1.0, 0.0, 1.0, 2.0], [2.0, 1.0, 0.0, -1.0, -2.0])

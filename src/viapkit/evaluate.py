@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from viapkit import attacks, nn, train
-from viapkit.attacks import AttackConfig, FAMILIES
+from viapkit.attacks import AttackConfig, FAMILIES, SINGLE_STEP_FAMILIES, VIAP_FAMILIES
 from viapkit.render import Dataset, write_ppm
 
 DEFAULT_EPS_GRID = (0.0, 0.5, 1.0, 3.0, 5.0, 10.0, 15.0, 30.0, 50.0)
@@ -50,17 +50,6 @@ def top1_accuracy(params: nn.ModelParams, images: np.ndarray, labels) -> float:
         raise ValueError("empty split")
     pred = np.argmax(nn.forward(params, images), axis=1)
     return float(np.mean(pred == labels))
-
-
-def top1_target_accuracy(params: nn.ModelParams, images: np.ndarray, target) -> float:
-    """Fraction of views whose argmax logit is the (per-view) target label."""
-    pred = np.argmax(nn.forward(params, images), axis=1)
-    target = np.asarray(target, dtype=np.int64)
-    if target.ndim == 0:
-        target = np.full(len(pred), int(target), dtype=np.int64)
-    if len(target) == 0:
-        raise ValueError("empty split")
-    return float(np.mean(pred == target))
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +233,17 @@ class SweepResult:
         raise KeyError(f"no cell ({family}, {eps}, {split})")
 
 
-def draw_target(rng: np.random.Generator, true_label: int, n_classes: int) -> int:
-    """Uniform over labels, re-drawing until it differs from the true one."""
+def draw_target(seed: int, object_id: int, true_label: int, n_classes: int) -> int:
+    """An object's target label at a seed, as sweep and attack both draw it.
+
+    Uniform over labels from the (seed, object) target stream, re-drawing
+    until it differs from the true one.
+    """
     if n_classes < 2:
         raise ValueError(f"a target label needs at least 2 classes; the dataset has {n_classes}")
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence([seed, _TARGET_STREAM, object_id]))
+    )
     t = int(rng.integers(0, n_classes))
     while t == true_label:
         t = int(rng.integers(0, n_classes))
@@ -316,12 +312,7 @@ def confidence_sweep(
 
     objects = dataset.objects()
     obj_label = {o: int(dataset.labels[dataset.indices(object_id=o)][0]) for o in objects}
-    targets = {}
-    for o in objects:
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([config.seed, _TARGET_STREAM, o]))
-        )
-        targets[o] = draw_target(rng, obj_label[o], k)
+    targets = {o: draw_target(config.seed, o, obj_label[o], k) for o in objects}
 
     tr_pos = {o: np.flatnonzero(dataset.object_ids[train_idx] == o) for o in objects}
     te_pos = {o: np.flatnonzero(dataset.object_ids[test_idx] == o) for o in objects}
@@ -345,28 +336,16 @@ def confidence_sweep(
     def craft_object(family, eps, o, adv_tr, adv_te):
         pos_t, pos_e = tr_pos[o], te_pos[o]
         imgs, lbls = x_tr[pos_t], y_tr[pos_t]
-        is_targeted = attacks.targeted(family)
-        fam_idx = FAMILIES.index(family)
-        eps_key = int(round(eps * 1000))
-        if family == "fgsm":
-            a_tr = attacks.fgsm_batch(params, imgs, lbls, eps)
-        elif family == "fgsm-t":
-            a_tr = attacks.fgsm_targeted_batch(params, imgs, targets[o], eps)
-        elif family in ("bim", "bim-t"):
-            cfg = AttackConfig(
-                family=family, eps=eps, step=config.step, iterations=config.iterations,
-                target=targets[o] if is_targeted else None,
-                literal_eq_step=config.literal_eq_step,
-            )
-            y = targets[o] if is_targeted else lbls
-            a_tr = attacks.bim_batch(params, imgs, y, cfg)
-        else:  # viap / viap-t
-            cfg = AttackConfig(
-                family=family, eps=eps, step=config.step, iterations=config.iterations,
-                target=targets[o] if is_targeted else None, rho=config.rho,
-                seed=_derived_seed([config.seed, _ATTACK_STREAM, fam_idx, eps_key, o]),
-                literal_eq_step=config.literal_eq_step,
-            )
+        cfg = AttackConfig(
+            family=family, eps=eps, step=config.step,
+            iterations=1 if family in SINGLE_STEP_FAMILIES else config.iterations,
+            target=targets[o] if attacks.targeted(family) else None, rho=config.rho,
+            seed=_derived_seed(
+                [config.seed, _ATTACK_STREAM, FAMILIES.index(family), int(round(eps * 1000)), o]
+            ),
+            literal_eq_step=config.literal_eq_step,
+        )
+        if family in VIAP_FAMILIES:
             pert = attacks.viap_arrays(
                 params, imgs, lbls, cfg,
                 view_ids=dataset.view_ids[train_idx][pos_t].tolist(),
@@ -374,6 +353,7 @@ def confidence_sweep(
             adv_tr[pos_t] = pert.apply(imgs)
             adv_te[pos_e] = pert.apply(x_te[pos_e])
             return
+        a_tr = attacks.bim_batch(params, imgs, lbls, cfg)
         adv_tr[pos_t] = a_tr
         # universality on unseen views for per-image families: carry the
         # object's mean training noise over (stays inside the eps ball)

@@ -452,8 +452,9 @@ class Dataset:
         manifest.validate()
         if images.shape[0] != len(manifest.views):
             raise ValueError("image count does not match manifest")
-        if images.min() < 0.0 or images.max() > 1.0:
-            raise ValueError("dataset pixels outside [0,1]")
+        # NaN propagates through min/max and fails both comparisons
+        if not (images.min() >= 0.0 and images.max() <= 1.0):
+            raise ValueError("dataset pixels outside [0,1] or not finite")
         self.manifest = manifest
         self.images = images
         self.labels = np.array([r["class"] for r in manifest.views], dtype=np.int64)
@@ -610,27 +611,30 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
 
 
 def load_dataset(in_dir) -> Dataset:
+    """Read a save_dataset directory; view i must sit at index i of images.f64."""
     with open(os.path.join(in_dir, "manifest.json")) as fh:
         raw = json.load(fh)
-    if raw.get("format") != DATASET_MAGIC:
+    if not isinstance(raw, dict) or raw.get("format") != DATASET_MAGIC:
         raise ValueError(f"{in_dir}: not a dataset directory (format tag mismatch)")
-    manifest = DatasetManifest(
-        classes=tuple(raw["classes"]),
-        image_shape=tuple(raw["image_shape"]),
-        seed=raw["seed"],
-        jitter_frac=raw["jitter_frac"],
-        views=raw["views"],
-    )
-    shape = manifest.image_shape
-    with open(os.path.join(in_dir, "images.f64"), "rb") as fh:
-        blob = fh.read()
-    per = int(np.prod(shape)) * 8
-    if len(blob) != per * len(manifest.views):
-        raise ValueError(f"{in_dir}: image blob size does not match manifest")
-    images = np.empty((len(manifest.views),) + shape)
-    for rec in manifest.views:
-        off = rec["offset"]
-        images[rec["index"]] = np.frombuffer(
-            blob, dtype="<f8", count=per // 8, offset=off
-        ).reshape(shape)
-    return Dataset(manifest, images)
+    path = os.path.join(in_dir, "images.f64")
+    try:
+        shape = tuple(int(d) for d in raw["image_shape"])
+        if len(shape) != 3:
+            raise ValueError(f"image_shape {list(shape)} is not (height, width, channels)")
+        per = math.prod(shape) * 8
+        views = list(raw["views"])
+        for i, rec in enumerate(views):
+            if rec["index"] != i or rec["offset"] != i * per:
+                raise ValueError(f"view record {i} is not at index {i}, offset {i * per}")
+        manifest = DatasetManifest(
+            classes=tuple(raw["classes"]),
+            image_shape=shape,
+            seed=raw["seed"],
+            jitter_frac=raw["jitter_frac"],
+            views=views,
+        )
+        if os.path.getsize(path) != per * len(views):
+            raise ValueError("image blob size does not match manifest")
+        return Dataset(manifest, np.fromfile(path, dtype="<f8").reshape((len(views),) + shape))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{in_dir}: malformed dataset: {type(exc).__name__}: {exc}") from exc

@@ -161,6 +161,20 @@ def maxpool2_input_grad_reference(dy: np.ndarray, idx: np.ndarray, x_shape: tupl
     return dx
 
 
+# --- closed-form fgsm --------------------------------------------------------
+
+def fgsm_reference(params: nn.ModelParams, x: np.ndarray, labels, eps: float,
+                   descend: bool = False) -> np.ndarray:
+    """One eps-sized sign step, clip(x +/- eps/255 * sign(grad), 0, 1).
+
+    Ascends the loss of labels (fgsm) or, with descend, descends it (fgsm-t,
+    where labels hold the target).
+    """
+    _, grad = nn.loss_and_input_grad(params, x, labels)
+    sgn = -1.0 if descend else 1.0
+    return np.clip(x + sgn * (eps / 255.0) * np.sign(grad), 0.0, 1.0)
+
+
 # --- Welch reference -------------------------------------------------------
 
 def _betainc_series(a, b, x):

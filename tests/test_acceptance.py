@@ -138,17 +138,14 @@ def test_criterion_03_ball_and_range_fuzz_1000():
             assert np.abs(adv - clean).max() <= tol, (family, eps, case)
             assert adv.min() >= 0.0 and adv.max() <= 1.0, (family, eps, case)
 
-        if family == "fgsm":
-            in_ball(attacks.fgsm_batch(params, x, y, eps))
-        elif family == "fgsm-t":
-            in_ball(attacks.fgsm_targeted_batch(params, x, target, eps))
-        elif family in ("bim", "bim-t"):
-            cfg = attacks.AttackConfig(family=family, eps=eps, iterations=iters,
-                                       target=target if family == "bim-t" else None)
+        if family not in attacks.VIAP_FAMILIES:
+            cfg = attacks.AttackConfig(
+                family=family, eps=eps, target=target if family.endswith("-t") else None,
+                iterations=1 if family in attacks.SINGLE_STEP_FAMILIES else iters,
+            )
             steps = []
-            attacks.bim_batch(params, x, np.full(views, target) if family == "bim-t" else y,
-                              cfg, trace=lambda n, adv: steps.append(adv.copy()))
-            assert len(steps) == iters
+            attacks.bim_batch(params, x, y, cfg, trace=lambda n, adv: steps.append(adv.copy()))
+            assert len(steps) == cfg.iterations
             for adv in steps:
                 in_ball(adv)
         else:
@@ -172,17 +169,22 @@ def test_criterion_03_ball_and_range_fuzz_1000():
 # ---------------------------------------------------------------------------
 
 def test_criterion_04_bim1_equals_fgsm_and_viap_tracks_bim(pipeline):
-    # BIM with one eps-sized step is FGSM, bit for bit
+    # fgsm, fgsm-t and BIM with one eps-sized step are the closed-form
+    # fgsm step, bit for bit
     for case in range(100):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([4, case])))
         params, _, _ = oracles.safe_config(case % 10)
         x = rng.uniform(0.0, 1.0, size=(1, params.height, params.width, params.channels))
         y = rng.integers(0, params.classes, size=1)
         eps = float(rng.uniform(0.0, 30.0))
-        f = attacks.fgsm_batch(params, x, y, eps)
-        cfg = attacks.AttackConfig(family="bim", eps=eps, iterations=1, literal_eq_step=True)
-        b = attacks.bim_batch(params, x, y, cfg)
-        assert np.array_equal(f, b), f"bim(1, step=eps) != fgsm on case {case}"
+        target = int((y[0] + rng.integers(1, params.classes)) % params.classes)
+        f = oracles.fgsm_reference(params, x, y, eps)
+        ft = oracles.fgsm_reference(params, x, [target], eps, descend=True)
+        for family, want in (("fgsm", f), ("fgsm-t", ft), ("bim", f)):
+            cfg = attacks.AttackConfig(family=family, eps=eps, iterations=1, target=target,
+                                       literal_eq_step=True)
+            got = attacks.bim_batch(params, x, y, cfg)
+            assert np.array_equal(got, want), f"{family}(1, step=eps) != fgsm on case {case}"
 
     # single-view VIAP with rho=0 and the literal eps step walks BIM's path:
     # the gradient-sign direction of every iteration matches
@@ -205,7 +207,8 @@ def test_criterion_04_bim1_equals_fgsm_and_viap_tracks_bim(pipeline):
         for n in range(iters):
             _, g = nn.loss_and_input_grad(params, positions[n], y1)
             assert np.array_equal(v_dirs[n], np.sign(g[0])), f"direction differs at iter {n}"
-    _ok("04 reductions (bim(1)=fgsm bit-exact x100; viap directions = bim x4 views)")
+    _ok("04 reductions (fgsm, fgsm-t, bim(1) = closed-form fgsm bit-exact x100; "
+        "viap directions = bim x4 views)")
 
 
 # ---------------------------------------------------------------------------

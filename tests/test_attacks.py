@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viapkit import attacks, nn, render, train
+import oracles
+from viapkit import attacks, nn, train
 
 
 def tiny_params(seed=0):
@@ -52,6 +53,10 @@ def test_config_step_resolution():
     literal = attacks.AttackConfig("bim", 10.0, literal_eq_step=True)
     assert literal.step_unit == pytest.approx(10.0 / 255.0)
     assert attacks.AttackConfig("fgsm", 5.0).eps_unit == pytest.approx(5.0 / 255.0)
+    # fgsm families step by eps whatever step says
+    for family in attacks.SINGLE_STEP_FAMILIES:
+        cfg = attacks.AttackConfig(family, 5.0, step=1.0)
+        assert cfg.step_unit == cfg.eps_unit
 
 
 def test_config_json_roundtrip():
@@ -89,13 +94,13 @@ def test_apply_delta_zero_is_identity(rng):
     assert out.max() <= 1.0
 
 
-# --- FGSM --------------------------------------------------------------------
+# --- FGSM (one eps-sized step of the bim kernel) -------------------------------
 
 def test_fgsm_zero_eps_unchanged(rng):
     params = tiny_params()
     x = interior_batch(rng)
     y = np.array([0, 1, 2])
-    assert np.array_equal(attacks.fgsm_batch(params, x, y, 0.0), x)
+    assert np.array_equal(attacks.bim_batch(params, x, y, attacks.AttackConfig("fgsm", 0.0)), x)
 
 
 def test_fgsm_moves_pixels_by_exactly_eps(rng):
@@ -103,7 +108,7 @@ def test_fgsm_moves_pixels_by_exactly_eps(rng):
     x = interior_batch(rng, n=1)
     y = np.array([1])
     _, grad = nn.loss_and_input_grad(params, x, y)
-    adv = attacks.fgsm_batch(params, x, y, 4.0)
+    adv = attacks.bim_batch(params, x, y, attacks.AttackConfig("fgsm", 4.0))
     e = 4.0 / 255.0
     strong = np.abs(grad) > 1e-8
     assert strong.any()
@@ -116,26 +121,29 @@ def test_fgsm_targeted_descends_target_loss(victim, default_dataset):
     i = int(ds.indices("test")[0])
     view = ds.view(i)
     target = (view.label + 1) % ds.n_classes
-    adv = attacks.fgsm_targeted(victim, view, 3.0, target)
+    cfg = attacks.AttackConfig("fgsm-t", 3.0, target=target)
+    adv = attacks.bim_batch(victim, view.image[None], [view.label], cfg)
     loss_clean, _ = nn.softmax_cross_entropy(
         nn.forward(victim, view.image[None]), np.array([target]))
-    loss_adv, _ = nn.softmax_cross_entropy(
-        nn.forward(victim, adv[None]), np.array([target]))
+    loss_adv, _ = nn.softmax_cross_entropy(nn.forward(victim, adv), np.array([target]))
     assert loss_adv < loss_clean
 
 
 def test_fgsm_targeted_plus_form_mirrors(rng):
+    # descending the target loss (fgsm-t) mirrors ascending it (fgsm on the
+    # target as label) around the clean image
     params = tiny_params()
     x = interior_batch(rng, n=2)
-    minus = attacks.fgsm_targeted_batch(params, x, 2, 3.0)
-    plus = attacks.fgsm_targeted_batch(params, x, 2, 3.0, plus_form=True)
+    minus = attacks.bim_batch(params, x, [0, 1], attacks.AttackConfig("fgsm-t", 3.0, target=2))
+    plus = attacks.bim_batch(params, x, [2, 2], attacks.AttackConfig("fgsm", 3.0))
     assert np.max(np.abs((minus + plus) - 2 * x)) < 1e-12
 
 
 def test_fgsm_targeted_rejects_true_label(victim, default_dataset):
     view = default_dataset.view(0)
+    cfg = attacks.AttackConfig("fgsm-t", 3.0, target=view.label)
     with pytest.raises(ValueError):
-        attacks.fgsm_targeted(victim, view, 3.0, view.label)
+        attacks.bim_batch(victim, view.image[None], [view.label], cfg)
 
 
 # --- BIM ---------------------------------------------------------------------
@@ -160,19 +168,20 @@ def test_bim_single_step_literal_equals_fgsm(rng):
     params = tiny_params(3)
     x = rng.uniform(0, 1, size=(6, 8, 8, 3))
     y = rng.integers(0, 4, size=6)
-    cfg = attacks.AttackConfig("bim", 5.0, iterations=1, literal_eq_step=True)
-    assert np.array_equal(
-        attacks.bim_batch(params, x, y, cfg),
-        attacks.fgsm_batch(params, x, y, 5.0),
-    )
+    closed = oracles.fgsm_reference(params, x, y, 5.0)
+    for cfg in (attacks.AttackConfig("bim", 5.0, iterations=1, literal_eq_step=True),
+                attacks.AttackConfig("fgsm", 5.0)):
+        assert np.array_equal(attacks.bim_batch(params, x, y, cfg), closed)
 
 
 def test_bim_targeted_needs_valid_target(victim, default_dataset):
     view = default_dataset.view(0)
-    with pytest.raises(ValueError):
-        attacks.bim(victim, view, attacks.AttackConfig("bim-t", 5.0))
-    with pytest.raises(ValueError):
-        attacks.bim(victim, view, attacks.AttackConfig("bim-t", 5.0, target=view.label))
+    x, y = view.image[None], [view.label]
+    for family, kernel in (("bim-t", attacks.bim_batch), ("viap-t", attacks.viap_arrays)):
+        with pytest.raises(ValueError, match="needs a target"):
+            kernel(victim, x, y, attacks.AttackConfig(family, 5.0))
+        with pytest.raises(ValueError, match="equals a true label"):
+            kernel(victim, x, y, attacks.AttackConfig(family, 5.0, target=view.label))
 
 
 # --- shared gradient / VIAP --------------------------------------------------
@@ -236,7 +245,8 @@ def test_viap_validates_inputs(rng):
     params = tiny_params()
     x = interior_batch(rng, n=2)
     with pytest.raises(ValueError):
-        attacks.viap(params, [], attacks.AttackConfig("viap", 5.0))
+        attacks.viap_arrays(params, x[:0], np.array([], dtype=np.int64),
+                            attacks.AttackConfig("viap", 5.0))
     with pytest.raises(ValueError):
         attacks.viap_arrays(params, x, np.array([0, 1]), attacks.AttackConfig("viap-t", 5.0))
     with pytest.raises(ValueError):
@@ -305,7 +315,7 @@ def test_perturbation_apply_semantics(rng, default_dataset):
     delta = rng.uniform(-cfg.eps_unit, cfg.eps_unit, size=(32, 32, 3))
     p = attacks.Perturbation(delta, cfg, (0, 1), 1.0)
     view = default_dataset.view(0)
-    out = attacks.apply(p, view)
+    out = p.apply(view.image)
     assert np.array_equal(out, np.clip(view.image + p.delta, 0.0, 1.0))
     with pytest.raises((ValueError, RuntimeError)):
         p.delta[0, 0, 0] = 0.0

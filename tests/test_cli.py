@@ -94,6 +94,43 @@ def test_attack_viap_targeted_random(tiny_run):
     assert metrics["target"] != metrics["true_label"]
 
 
+def test_targeted_attacks_reject_the_true_label_as_target(tiny_run, capsys):
+    root, _, ds_dir, model_dir = tiny_run
+    ds = render.load_dataset(ds_dir)
+    true_label = int(ds.labels[ds.indices(object_id=1)][0])
+    for family in ("fgsm-t", "bim-t", "viap-t"):
+        out = root / f"atk-bad-target-{family}"
+        rc = cli.main([
+            "attack", "--dataset", str(ds_dir), "--weights", str(model_dir / "weights.viapnet"),
+            "--family", family, "--eps", "3", "--iters", "1", "--object", "1",
+            "--target", str(true_label), "--out", str(out),
+        ])
+        assert rc == cli.EXIT_USAGE, family
+        assert "equals a true label" in last_error(capsys)["message"]
+        assert not (out / "delta.viapdlt").exists()
+
+
+def test_attack_random_target_is_the_sweep_target(tiny_run):
+    root, _, ds_dir, model_dir = tiny_run
+    weights = str(model_dir / "weights.viapnet")
+    cfg = root / "sweep-targets.json"
+    cfg.write_text(json.dumps({"sweep": {"gate_train": 0.0, "gate_test": 0.0}}))
+    seed = 6
+    assert cli.main([
+        "sweep", "--config", str(cfg), "--dataset", str(ds_dir), "--weights", weights,
+        "--family", "viap-t", "--eps", "0", "--seed", str(seed), "--out", str(root / "s-t"),
+    ]) == cli.EXIT_OK
+    targets = json.loads((root / "s-t" / "report.json").read_text())["targets"]
+    for o in (0, 2):
+        out = root / f"atk-random-{o}"
+        assert cli.main([
+            "attack", "--dataset", str(ds_dir), "--weights", weights, "--family", "viap-t",
+            "--eps", "3", "--iters", "1", "--target", "random", "--seed", str(seed),
+            "--object", str(o), "--out", str(out),
+        ]) == cli.EXIT_OK
+        assert json.loads((out / "metrics.json").read_text())["target"] == targets[str(o)]
+
+
 def test_sweep_reduced_and_deterministic(tiny_run):
     root, _, ds_dir, model_dir = tiny_run
     cfg = root / "sweep.json"

@@ -1,0 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import viapkit
+from viapkit import attacks, nn, train
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def test_craft_perturbation_demo_runs(tmp_path):
+    weights = tmp_path / "w.viapnet"
+    nn.save_params(train.init_params(0), weights)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(viapkit.__file__).resolve().parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / "craft_perturbation.py"), "--weights", str(weights),
+         "--iters", "2", "--out", str(out)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "fgsm-mean" in proc.stdout
+    pert = attacks.load_perturbation(out / "delta.viapdlt")
+    assert pert.config.family == "viap" and pert.config.iterations == 2
+    for name in ("clean.ppm", "adv.ppm", "delta_rescaled.ppm"):
+        assert (out / name).read_bytes().startswith(b"P6\n")

@@ -21,8 +21,6 @@ def test_top1_arithmetic(rng):
     x = rng.uniform(0, 1, size=(4, 8, 8, 3))
     assert evaluate.top1_accuracy(params, x, np.array([0, 0, 1, 3])) == 0.5
     assert evaluate.top1_accuracy(params, x, np.array([0, 0, 0, 1])) == 0.75
-    assert evaluate.top1_target_accuracy(params, x, 0) == 1.0
-    assert evaluate.top1_target_accuracy(params, x, np.array([2, 2, 2, 2])) == 0.0
 
 
 def test_top1_on_trained_victim(victim, default_dataset):
@@ -102,10 +100,17 @@ def test_ttest_result_json():
 
 
 def test_draw_target_excludes_true():
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
+    drawn = set()
     for true in range(4):
-        for _ in range(50):
-            assert evaluate.draw_target(rng, true, 4) != true
+        for seed in range(50):
+            t = evaluate.draw_target(seed, 3, true, 4)
+            assert t != true and 0 <= t < 4
+            drawn.add(t)
+            # the first draw of the (seed, object) target stream that is not the true label
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 101, 3])))
+            draws = [int(rng.integers(0, 4)) for _ in range(64)]
+            assert t == next(d for d in draws if d != true)
+    assert drawn == {0, 1, 2, 3}
 
 
 # --- sweep -------------------------------------------------------------------
@@ -168,6 +173,43 @@ def test_sweep_deterministic_and_jobs_invariant(tiny_dataset, victim):
             assert np.array_equal(ca.values, cb.values)
 
 
+def test_sweep_dispatches_each_family_to_its_kernel(tiny_dataset, victim, monkeypatch):
+    calls = []
+
+    def recorder(kernel):
+        real = getattr(attacks, kernel)
+
+        def record(params, images, labels, config, **kwargs):
+            calls.append((kernel, config, images.copy(), np.asarray(labels).copy()))
+            return real(params, images, labels, config, **kwargs)
+        return record
+
+    for kernel in ("bim_batch", "viap_arrays"):
+        monkeypatch.setattr(attacks, kernel, recorder(kernel))
+    config = evaluate.SweepConfig(
+        eps_grid=(0.0, 3.0, 5.0), iterations=2, gate_train=0.0, gate_test=0.0,
+    )
+    sweep = evaluate.confidence_sweep(victim, tiny_dataset, config=config)
+
+    ds = tiny_dataset
+    train_views = {o: ds.indices("train", object_id=o) for o in ds.objects()}
+    seen = []
+    for kernel, cfg, images, labels in calls:
+        o = next(o for o, idx in train_views.items()
+                 if np.array_equal(images, ds.images[idx]))
+        seen.append((cfg.family, cfg.eps, o))
+        assert np.array_equal(labels, ds.labels[train_views[o]])  # true labels, always
+        want = "viap_arrays" if cfg.family in attacks.VIAP_FAMILIES else "bim_batch"
+        assert kernel == want, cfg.family
+        assert cfg.target == (sweep.targets[o] if attacks.targeted(cfg.family) else None)
+        if cfg.family in attacks.SINGLE_STEP_FAMILIES:
+            assert cfg.iterations == 1 and cfg.step_unit == cfg.eps_unit
+        else:
+            assert cfg.iterations == 2
+    expected = [(f, e, o) for f in attacks.FAMILIES for e in (3.0, 5.0) for o in ds.objects()]
+    assert sorted(seen) == sorted(expected)
+
+
 def test_sweep_gate_failure(tiny_dataset):
     untrained = train.init_params(0)
     with pytest.raises(evaluate.GateFailure) as err:
@@ -181,9 +223,8 @@ def test_sweep_rejects_one_class_dataset():
     config = evaluate.SweepConfig(eps_grid=(0.0,), families=("fgsm",), gate_train=0.0, gate_test=0.0)
     with pytest.raises(ValueError, match="at least 2 classes"):
         evaluate.confidence_sweep(params, ds, config=config)
-    rng = np.random.Generator(np.random.PCG64(0))
     with pytest.raises(ValueError, match="at least 2 classes"):
-        evaluate.draw_target(rng, 0, 1)
+        evaluate.draw_target(0, 0, 0, 1)
 
 
 def test_sweep_ttests_present(tiny_dataset, victim):

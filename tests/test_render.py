@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,6 +198,56 @@ def test_load_rejects_wrong_format(tmp_path, tiny_dataset):
     (tmp_path / "d" / "manifest.json").write_text(manifest.replace(render.DATASET_MAGIC, "other-v9"))
     with pytest.raises(ValueError):
         render.load_dataset(tmp_path / "d")
+
+
+def saved_manifest(tmp_path, dataset) -> dict:
+    render.save_dataset(dataset, tmp_path / "d")
+    return json.loads((tmp_path / "d" / "manifest.json").read_text())
+
+
+def test_load_rejects_missing_or_ill_typed_manifest_fields(tmp_path, tiny_dataset):
+    good = saved_manifest(tmp_path, tiny_dataset)
+    bad = [{k: v for k, v in good.items() if k != key}
+           for key in ("classes", "image_shape", "seed", "jitter_frac", "views")]
+    bad += [
+        {**good, "classes": 4},
+        {**good, "image_shape": "32x32"},
+        {**good, "image_shape": [32, 32]},
+        {**good, "views": 16},
+        {**good, "views": [list(r.values()) for r in good["views"]]},
+        {**good, "views": [{k: v for k, v in r.items() if k != "class"} for r in good["views"]]},
+    ]
+    for manifest in bad:
+        (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="malformed dataset"):
+            render.load_dataset(tmp_path / "d")
+
+
+def test_load_rejects_records_out_of_place(tmp_path, tiny_dataset):
+    good = saved_manifest(tmp_path, tiny_dataset)
+    views = good["views"]
+    repeated = [dict(r) for r in views]
+    repeated[1]["index"] = 0  # row 1 would never be filled
+    shifted = [dict(r) for r in views]
+    shifted[2]["offset"] = shifted[1]["offset"]
+    swapped = views[:1] + [views[2], views[1]] + views[3:]
+    for records in (repeated, shifted, swapped):
+        (tmp_path / "d" / "manifest.json").write_text(json.dumps({**good, "views": records}))
+        with pytest.raises(ValueError, match="view record"):
+            render.load_dataset(tmp_path / "d")
+
+
+def test_load_rejects_non_finite_pixels(tmp_path, tiny_dataset):
+    render.save_dataset(tiny_dataset, tmp_path / "d")
+    blob = tmp_path / "d" / "images.f64"
+    for value in (np.nan, np.inf, -np.inf):
+        images = tiny_dataset.images.copy()
+        images[3, 5, 7, 1] = value
+        blob.write_bytes(images.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="not finite"):
+            render.load_dataset(tmp_path / "d")
+    with pytest.raises(ValueError, match="not finite"):
+        render.Dataset(tiny_dataset.manifest, images)
 
 
 def test_manifest_rejects_duplicates():
