@@ -142,11 +142,13 @@ def _splits(ds) -> tuple:
     return tuple((ds.images[i], ds.labels[i]) for i in (ds.indices("train"), ds.indices("test")))
 
 
-def _train_and_save(cfg: dict, splits: tuple, n_classes: int, out) -> nn.ModelParams:
+def _train_and_save(
+    config: train_mod.TrainConfig, splits: tuple, n_classes: int, out
+) -> nn.ModelParams:
     """Train the victim on the train split; write weights.viapnet and train_log.csv."""
     (x_tr, y_tr), test = splits
-    params = train_mod.init_params(cfg["seed"], *x_tr.shape[1:], n_classes)
-    params, log = train_mod.train(params, x_tr, y_tr, train_mod.TrainConfig(**cfg), val=test)
+    params = train_mod.init_params(config.seed, *x_tr.shape[1:], n_classes)
+    params, log = train_mod.train(params, x_tr, y_tr, config, val=test)
     os.makedirs(out, exist_ok=True)
     nn.save_params(params, os.path.join(out, "weights.viapnet"))
     with open(os.path.join(out, "train_log.csv"), "w") as fh:
@@ -160,13 +162,14 @@ def cmd_train(args) -> int:
     )
     out = args.out or "runs/model"
     _echo_config(cfg, out)
+    tcfg = train_mod.TrainConfig(**cfg)
 
     ds = render.load_dataset(args.dataset)
     n_classes, splits = ds.n_classes, _splits(ds)
     # the splits are copies: dropping the full image array keeps one copy of
     # each pixel in memory while training
     del ds
-    params = _train_and_save(cfg, splits, n_classes, out)
+    params = _train_and_save(tcfg, splits, n_classes, out)
     (x_tr, y_tr), (x_te, y_te) = splits
     acc_tr, conf_tr = train_mod.evaluate_clean(params, x_tr, y_tr)
     acc_te, conf_te = train_mod.evaluate_clean(params, x_te, y_te)
@@ -277,6 +280,12 @@ def cmd_sweep(args) -> int:
         "sweep": sweep_cfg,
     }
     _echo_config(resolved, out)
+    # a bad train or sweep setting fails here, before any rendering or training
+    scfg = evaluate.SweepConfig(**{
+        **sweep_cfg, "seed": global_seed,
+        "eps_grid": tuple(sweep_cfg["eps_grid"]), "families": tuple(sweep_cfg["families"]),
+    })
+    tcfg = train_mod.TrainConfig(**train_cfg)
 
     if args.dataset:
         ds = render.load_dataset(args.dataset)
@@ -286,12 +295,8 @@ def cmd_sweep(args) -> int:
     if args.weights:
         params = nn.load_params(args.weights)
     else:
-        params = _train_and_save(train_cfg, _splits(ds), ds.n_classes, os.path.join(out, "model"))
+        params = _train_and_save(tcfg, _splits(ds), ds.n_classes, os.path.join(out, "model"))
 
-    scfg = evaluate.SweepConfig(**{
-        **sweep_cfg, "seed": global_seed,
-        "eps_grid": tuple(sweep_cfg["eps_grid"]), "families": tuple(sweep_cfg["families"]),
-    })
     result = evaluate.confidence_sweep(params, ds, config=scfg)
     files = evaluate.emit_report(result, result.ttests, out)
 

@@ -176,6 +176,12 @@ class SweepConfig:
             raise ValueError("eps grid must be non-empty and non-negative")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        if self.step is not None and not (self.step > 0.0):
+            raise ValueError("explicit step must be positive")
+        if not (self.rho >= 0.0):
+            raise ValueError("rho must be >= 0")
 
     def to_json_dict(self) -> dict:
         return {

@@ -284,9 +284,26 @@ def forward_graph(params: ModelParams, batch: np.ndarray) -> Graph:
     return Graph(params=params, x=x, z1=z1, i1=i1, p1=p1, z2=z2, i2=i2, p2=p2, logits=logits)
 
 
+# Most rows per forward_graph call in forward(). Inference needs no recorded
+# graph, so a large batch runs its conv stages in blocks: conv1's patch
+# matrix and the kept activations then scale with the block, not the batch.
+FORWARD_BLOCK = 32
+
+
 def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Class logits for a batch, shape (B, K)."""
-    return forward_graph(params, batch).logits
+    """Class logits for a batch, shape (B, K); equal to forward_graph's bit for bit.
+
+    The conv stages run on ceil(B / FORWARD_BLOCK) near-equal blocks of rows,
+    none of them a single row unless B is 1. The dense layer then runs once on
+    all rows, because BLAS picks its GEMM kernel by size: per-block dense
+    products would round differently from a whole-batch one (seen at B >= 245).
+    """
+    x = _check_batch(params, batch)
+    blocks = np.array_split(x, -(-x.shape[0] // FORWARD_BLOCK))
+    features = np.concatenate([forward_graph(params, block).p2 for block in blocks])
+    logits = dense(features.reshape(x.shape[0], -1), params.dense_w, params.dense_b)
+    require_finite("logits", logits)
+    return logits
 
 
 def _check_labels(labels, batch_size: int, classes: int) -> np.ndarray:

@@ -295,13 +295,31 @@ def _camera_frame(pose: CameraPose) -> tuple[np.ndarray, np.ndarray]:
 # Rasterizer
 # ---------------------------------------------------------------------------
 
+# Faces whose coverage and depth are evaluated together; with the faces on
+# the last axis, one chunk over a 32x32 window is about 2 MB per array.
+FACE_CHUNK = 256
+
+
+def _edge_functions(ax, ay, bx, by, cx, cy, px, py) -> tuple:
+    """Doubled signed areas of (b, c, p), (c, a, p) and (a, b, p) for pixel p."""
+    return (
+        (cx - bx) * (py - by) - (cy - by) * (px - bx),
+        (ax - cx) * (py - cy) - (ay - cy) * (px - cx),
+        (bx - ax) * (py - ay) - (by - ay) * (px - ax),
+    )
+
+
 def render(shape: ShapeSpec, pose: CameraPose, size: int = IMG_SIZE) -> np.ndarray:
     """Rasterize one view: perspective projection, z-buffer, banded Lambertian.
 
-    Depth test is strict-less, so the first triangle to claim a pixel at a
-    given depth keeps it. Shading is two-sided (|n.l|) with a constant
-    ambient floor, modulated by the shape's horizontal albedo bands; pixels
-    not covered by any triangle are the background color exactly.
+    Edge functions are evaluated for a chunk of triangles at a time, over the
+    pixel window that holds the chunk's bounding boxes. A pixel goes to
+    the triangle of minimum depth among those covering it, and to the lowest
+    face index on ties: the pixel a strict-less depth test leaves when the
+    triangles are drawn one by one in face order. Shading is two-sided
+    (|n.l|) with a constant ambient floor, modulated by the shape's
+    horizontal albedo bands; pixels not covered by any triangle are the
+    background color exactly.
     """
     verts, faces = build_mesh(shape)
     bound = float(np.linalg.norm(verts, axis=1).max())
@@ -316,73 +334,86 @@ def render(shape: ShapeSpec, pose: CameraPose, size: int = IMG_SIZE) -> np.ndarr
     focal = 1.0 / math.tan(math.radians(FOV_DEGREES) / 2.0)
     ndc = focal * pc[:, :2] / depth_v[:, None]
 
-    light = np.asarray(LIGHT_CAM)
-    light = light / np.linalg.norm(light)
-    albedo = np.asarray(shape.albedo)
-
     img = np.empty((size, size, 3))
     img[:] = BACKGROUND
-    zbuf = np.full((size, size), np.inf)
     # pixel-center coordinates in NDC; exact in binary for power-of-two sizes
     xs = (2.0 * np.arange(size) + 1.0 - size) / size
     ys = (size - 1.0 - 2.0 * np.arange(size)) / size
 
-    for f0, f1, f2 in faces:
-        z0, z1, z2 = depth_v[f0], depth_v[f1], depth_v[f2]
-        if min(z0, z1, z2) <= 1e-9:
-            continue  # behind the camera; cannot happen for r > bound
-        a, b, c = ndc[f0], ndc[f1], ndc[f2]
-        area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if abs(area2) < 1e-14:
-            continue
+    # per-face setup; a face behind the camera cannot occur for r > bound
+    faces = faces[depth_v[faces].min(axis=1) > 1e-9]
+    z0, z1, z2 = depth_v[faces].T
+    (ax, ay), (bx, by), (cx, cy) = (ndc[faces[:, k]].T for k in range(3))
+    area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    lo_x, hi_x = np.minimum(np.minimum(ax, bx), cx), np.maximum(np.maximum(ax, bx), cx)
+    lo_y, hi_y = np.minimum(np.minimum(ay, by), cy), np.maximum(np.maximum(ay, by), cy)
+    j0 = np.maximum(0, np.floor((lo_x + 1.0) * size / 2.0 - 0.5) - 1)
+    j1 = np.minimum(size - 1, np.ceil((hi_x + 1.0) * size / 2.0 - 0.5) + 1)
+    i0 = np.maximum(0, np.floor((size - 1.0 - hi_y * size) / 2.0) - 1)
+    i1 = np.minimum(size - 1, np.ceil((size - 1.0 - lo_y * size) / 2.0) + 1)
+    keep = np.flatnonzero((np.abs(area2) >= 1e-14) & (j0 <= j1) & (i0 <= i1))
+    faces, z0, z1, z2, ax, ay, bx, by, cx, cy, area2 = (
+        v[keep] for v in (faces, z0, z1, z2, ax, ay, bx, by, cx, cy, area2)
+    )
+    i0, i1, j0, j1 = (v[keep].astype(np.int64) for v in (i0, i1, j0, j1))
 
-        lo_x, hi_x = min(a[0], b[0], c[0]), max(a[0], b[0], c[0])
-        lo_y, hi_y = min(a[1], b[1], c[1]), max(a[1], b[1], c[1])
-        j0 = max(0, int(math.floor((lo_x + 1.0) * size / 2.0 - 0.5)) - 1)
-        j1 = min(size - 1, int(math.ceil((hi_x + 1.0) * size / 2.0 - 0.5)) + 1)
-        i0 = max(0, int(math.floor((size - 1.0 - hi_y * size) / 2.0)) - 1)
-        i1 = min(size - 1, int(math.ceil((size - 1.0 - lo_y * size) / 2.0)) + 1)
-        if j0 > j1 or i0 > i1:
-            continue
+    # z-buffer, a chunk of faces at a time over the union of their bounding
+    # boxes; the faces sit on the last axis, so argmin reads contiguous memory
+    pixel = np.arange(size)
+    zbuf = np.full((size, size), np.inf)
+    winner = np.full((size, size), -1)
+    for s in range(0, len(faces), FACE_CHUNK):
+        f = slice(s, s + FACE_CHUNK)
+        r = slice(i0[f].min(), i1[f].max() + 1)
+        c = slice(j0[f].min(), j1[f].max() + 1)
+        w0, w1, w2 = _edge_functions(
+            ax[f], ay[f], bx[f], by[f], cx[f], cy[f], xs[None, c, None], ys[r, None, None]
+        )
+        inside = np.where(
+            area2[f] > 0,
+            (w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0),
+            (w0 <= 0.0) & (w1 <= 0.0) & (w2 <= 0.0),
+        )
+        # each face only within its own bounding box, where the per-triangle
+        # loop looked: beyond it, rounding can pass a long sliver's edge test
+        rows, cols = pixel[r, None, None], pixel[None, c, None]
+        inside &= (rows >= i0[f]) & (rows <= i1[f]) & (cols >= j0[f]) & (cols <= j1[f])
+        with np.errstate(divide="ignore"):  # perspective-correct depth
+            depth = 1.0 / ((w0 / z0[f] + w1 / z1[f] + w2 / z2[f]) / area2[f])
+        # NaN and +inf depths never pass a strict-less test against +inf
+        depth[~(inside & (depth < np.inf))] = np.inf
+        k = depth.argmin(axis=2)
+        best = np.take_along_axis(depth, k[..., None], axis=2)[..., 0]
+        closer = best < zbuf[r, c]
+        zbuf[r, c][closer] = best[closer]
+        winner[r, c][closer] = k[closer] + s
 
-        px = xs[j0 : j1 + 1][None, :]
-        py = ys[i0 : i1 + 1][:, None]
-        w0 = (c[0] - b[0]) * (py - b[1]) - (c[1] - b[1]) * (px - b[0])
-        w1 = (a[0] - c[0]) * (py - c[1]) - (a[1] - c[1]) * (px - c[0])
-        w2 = (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0])
-        if area2 > 0:
-            mask = (w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0)
-        else:
-            mask = (w0 <= 0.0) & (w1 <= 0.0) & (w2 <= 0.0)
-        if not mask.any():
-            continue
+    # colour each covered pixel from its winning face
+    pi, pj = np.nonzero(winner >= 0)
+    f = winner[pi, pj]
+    w0, w1, w2 = _edge_functions(ax[f], ay[f], bx[f], by[f], cx[f], cy[f], xs[pj], ys[pi])
+    vz = verts[faces[f], 2]
+    # object-space height of each covered fragment (perspective-correct);
+    # drives the banding, so the pattern rides on the surface, not the screen
+    hz = (
+        w0 * (vz[:, 0] / z0[f]) + w1 * (vz[:, 1] / z1[f]) + w2 * (vz[:, 2] / z2[f])
+    ) / area2[f]
+    oz = zbuf[pi, pj] * hz
+    band = np.sin(2.0 * np.pi * oz / shape.band_period + shape.band_phase)
 
-        inv_z = (w0 / z0 + w1 / z1 + w2 / z2) / area2  # perspective-correct
-        with np.errstate(divide="ignore"):
-            depth = 1.0 / inv_z
-        zsub = zbuf[i0 : i1 + 1, j0 : j1 + 1]
-        sel = mask & (depth < zsub)
-        if not sel.any():
-            continue
-
-        e1 = pc[f1] - pc[f0]
-        e2 = pc[f2] - pc[f0]
-        n = np.cross(e1, e2)
-        n = n / np.linalg.norm(n)
-        shade = AMBIENT + (1.0 - AMBIENT) * abs(float(n @ light))
-
-        # object-space height of each covered fragment (perspective-correct);
-        # drives the banding, so the pattern rides on the surface, not the screen
-        hz = (
-            w0 * (verts[f0, 2] / z0) + w1 * (verts[f1, 2] / z1) + w2 * (verts[f2, 2] / z2)
-        ) / area2
-        oz = depth[sel] * hz[sel]
-        band = np.sin(2.0 * np.pi * oz / shape.band_period + shape.band_phase)
-        color = albedo[None, :] * (shade * (1.0 + shape.band_amp * band))[:, None]
-
-        zsub[sel] = depth[sel]
-        img[i0 : i1 + 1, j0 : j1 + 1][sel] = np.clip(color, 0.0, 1.0)
-
+    light = np.asarray(LIGHT_CAM)
+    light = light / np.linalg.norm(light)
+    lit, face_of = np.unique(f, return_inverse=True)
+    tri = pc[faces[lit]]
+    n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    # stacked 1x3 @ 3x1 products take the BLAS dot that np.linalg.norm and a
+    # 1-D n @ light use, so each face's shade is the one-triangle value
+    n /= np.sqrt(n[:, None, :] @ n[:, :, None])[:, 0]
+    shade = AMBIENT + (1.0 - AMBIENT) * np.abs((n[:, None, :] @ light[:, None])[:, 0, 0])
+    color = np.asarray(shape.albedo)[None, :] * (
+        shade[face_of] * (1.0 + shape.band_amp * band)
+    )[:, None]
+    img[pi, pj] = np.clip(color, 0.0, 1.0)
     return img
 
 
@@ -564,7 +595,9 @@ def generate_dataset(
         seed=seed,
         jitter_frac=jitter_frac,
     )
-    images = []
+    n_views = len(classes) * objects_per_class * views_per_object
+    images = np.empty((n_views, image_size, image_size, 3))
+    nbytes = images[0].nbytes
     object_id = 0
     for class_id, kind in enumerate(classes):
         for _obj in range(objects_per_class):
@@ -577,24 +610,23 @@ def generate_dataset(
                     np.random.PCG64(np.random.SeedSequence([seed, class_id, _obj, view_id]))
                 )
                 pose = sample_camera(bases[view_id], jitter_frac, cam_rng, axis_restrict)
-                img = render(shape, pose, size=image_size)
-                nbytes = img.size * 8
+                index = len(manifest.views)
+                images[index] = render(shape, pose, size=image_size)
                 manifest.views.append(
                     {
-                        "index": len(images),
+                        "index": index,
                         "object": object_id,
                         "class": class_id,
                         "view": view_id,
                         "split": "train" if view_id < train_views else "test",
                         "pose": [pose.theta, pose.phi, pose.radius],
-                        "offset": len(images) * nbytes,
+                        "offset": index * nbytes,
                         "nbytes": nbytes,
                     }
                 )
-                images.append(img)
             object_id += 1
 
-    dataset = Dataset(manifest, np.stack(images))
+    dataset = Dataset(manifest, images)
     if out_dir is not None:
         save_dataset(dataset, out_dir)
     return dataset
@@ -602,9 +634,8 @@ def generate_dataset(
 
 def save_dataset(dataset: Dataset, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    blob = np.ascontiguousarray(dataset.images, dtype="<f8").tobytes()
     with open(os.path.join(out_dir, "images.f64"), "wb") as fh:
-        fh.write(blob)
+        np.ascontiguousarray(dataset.images, dtype="<f8").tofile(fh)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(dataset.manifest.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -8,11 +8,13 @@ arbitrary-precision hypergeometric series (mpmath).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from mpmath import mp, mpf
 from numpy.lib.stride_tricks import sliding_window_view
 
-from viapkit import nn
+from viapkit import nn, render
 
 FD_H = 1e-5
 REL_FLOOR = 1e-3
@@ -159,6 +161,100 @@ def maxpool2_input_grad_reference(dy: np.ndarray, idx: np.ndarray, x_shape: tupl
         .reshape(b, h2 * 2, w2 * 2, c)
     )
     return dx
+
+
+# --- reference rasterizer ---------------------------------------------------
+# The per-triangle loop the package used before its chunked rasterizer;
+# render.render must match it bit for bit.
+
+def render_reference(shape: render.ShapeSpec, pose: render.CameraPose,
+                     size: int = render.IMG_SIZE) -> np.ndarray:
+    """render.render drawn one triangle at a time in face order.
+
+    Depth test is strict-less, so the first triangle to claim a pixel at a
+    given depth keeps it.
+    """
+    verts, faces = render.build_mesh(shape)
+    bound = float(np.linalg.norm(verts, axis=1).max())
+    if pose.radius <= bound:
+        raise ValueError(
+            f"camera radius {pose.radius} is inside the object (bounding radius {bound:.3f})"
+        )
+
+    rot, eye = render._camera_frame(pose)
+    pc = (verts - eye) @ rot.T
+    depth_v = -pc[:, 2]           # positive distances along the view axis
+    focal = 1.0 / math.tan(math.radians(render.FOV_DEGREES) / 2.0)
+    ndc = focal * pc[:, :2] / depth_v[:, None]
+
+    light = np.asarray(render.LIGHT_CAM)
+    light = light / np.linalg.norm(light)
+    albedo = np.asarray(shape.albedo)
+
+    img = np.empty((size, size, 3))
+    img[:] = render.BACKGROUND
+    zbuf = np.full((size, size), np.inf)
+    # pixel-center coordinates in NDC; exact in binary for power-of-two sizes
+    xs = (2.0 * np.arange(size) + 1.0 - size) / size
+    ys = (size - 1.0 - 2.0 * np.arange(size)) / size
+
+    for f0, f1, f2 in faces:
+        z0, z1, z2 = depth_v[f0], depth_v[f1], depth_v[f2]
+        if min(z0, z1, z2) <= 1e-9:
+            continue  # behind the camera; cannot happen for r > bound
+        a, b, c = ndc[f0], ndc[f1], ndc[f2]
+        area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        if abs(area2) < 1e-14:
+            continue
+
+        lo_x, hi_x = min(a[0], b[0], c[0]), max(a[0], b[0], c[0])
+        lo_y, hi_y = min(a[1], b[1], c[1]), max(a[1], b[1], c[1])
+        j0 = max(0, int(math.floor((lo_x + 1.0) * size / 2.0 - 0.5)) - 1)
+        j1 = min(size - 1, int(math.ceil((hi_x + 1.0) * size / 2.0 - 0.5)) + 1)
+        i0 = max(0, int(math.floor((size - 1.0 - hi_y * size) / 2.0)) - 1)
+        i1 = min(size - 1, int(math.ceil((size - 1.0 - lo_y * size) / 2.0)) + 1)
+        if j0 > j1 or i0 > i1:
+            continue
+
+        px = xs[j0 : j1 + 1][None, :]
+        py = ys[i0 : i1 + 1][:, None]
+        w0 = (c[0] - b[0]) * (py - b[1]) - (c[1] - b[1]) * (px - b[0])
+        w1 = (a[0] - c[0]) * (py - c[1]) - (a[1] - c[1]) * (px - c[0])
+        w2 = (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0])
+        if area2 > 0:
+            mask = (w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0)
+        else:
+            mask = (w0 <= 0.0) & (w1 <= 0.0) & (w2 <= 0.0)
+        if not mask.any():
+            continue
+
+        inv_z = (w0 / z0 + w1 / z1 + w2 / z2) / area2  # perspective-correct
+        with np.errstate(divide="ignore"):
+            depth = 1.0 / inv_z
+        zsub = zbuf[i0 : i1 + 1, j0 : j1 + 1]
+        sel = mask & (depth < zsub)
+        if not sel.any():
+            continue
+
+        e1 = pc[f1] - pc[f0]
+        e2 = pc[f2] - pc[f0]
+        n = np.cross(e1, e2)
+        n = n / np.linalg.norm(n)
+        shade = render.AMBIENT + (1.0 - render.AMBIENT) * abs(float(n @ light))
+
+        # object-space height of each covered fragment (perspective-correct);
+        # drives the banding, so the pattern rides on the surface, not the screen
+        hz = (
+            w0 * (verts[f0, 2] / z0) + w1 * (verts[f1, 2] / z1) + w2 * (verts[f2, 2] / z2)
+        ) / area2
+        oz = depth[sel] * hz[sel]
+        band = np.sin(2.0 * np.pi * oz / shape.band_period + shape.band_phase)
+        color = albedo[None, :] * (shade * (1.0 + shape.band_amp * band))[:, None]
+
+        zsub[sel] = depth[sel]
+        img[i0 : i1 + 1, j0 : j1 + 1][sel] = np.clip(color, 0.0, 1.0)
+
+    return img
 
 
 # --- closed-form fgsm --------------------------------------------------------

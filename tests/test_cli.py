@@ -231,6 +231,25 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys, command, cfg, key):
     assert not (out / "config.json").exists()
 
 
+@pytest.mark.parametrize("cfg,flags,message", [
+    ({"sweep": {"step": 0, "iterations": 0}}, [], "must be"),
+    ({"sweep": {"step": 0}}, [], "step must be positive"),
+    ({"sweep": {"step": -1.0}}, [], "step must be positive"),
+    ({"sweep": {"iterations": 0}}, [], "iterations must be >= 1"),
+    ({}, ["--iters", "0"], "iterations must be >= 1"),
+    ({"sweep": {"rho": -0.1}}, [], "rho must be >= 0"),
+    ({"train": {"epochs": 0}}, [], "epochs must be >= 1"),
+])
+def test_sweep_rejects_bad_settings_before_any_work(tmp_path, capsys, cfg, flags, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dataset": TINY_DS, **cfg}))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out), *flags]) == cli.EXIT_USAGE
+    assert message in last_error(capsys)["message"]
+    assert not (out / "dataset").exists()
+    assert not (out / "model").exists()
+
+
 def test_sectioned_config_with_every_section(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -76,6 +76,16 @@ def test_forward_rejects_bad_shapes(rng):
         nn.forward(params, bad)
 
 
+@pytest.mark.parametrize("batch", [1, 7, 31, 32, 33, 112, 113, 224, 225, 245, 320])
+def test_blocked_forward_equals_forward_graph(batch):
+    # 245 and 320 rows are past the size at which a whole-batch dense GEMM
+    # takes another BLAS kernel than a 32-row one
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(batch)))
+    params = rand_params(rng, hw=32)
+    x = rng.uniform(0, 1, size=(batch, 32, 32, 3))
+    assert np.array_equal(nn.forward(params, x), nn.forward_graph(params, x).logits)
+
+
 def test_softmax_rows_normalized(rng):
     logits = rng.normal(0, 50, size=(32, 5))
     logits[0] = [1000.0, -1000.0, 0.0, 0.0, 0.0]

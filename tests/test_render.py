@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from viapkit import render
 
 
@@ -103,6 +105,78 @@ def test_sphere_render_mirror_symmetric():
     for theta in (0.38 * np.pi, 0.55 * np.pi):
         img = render.render(shape, render.CameraPose(theta, 0.0, 3.0))
         assert np.max(np.abs(img - img[:, ::-1, :])) < 1e-12
+
+
+def reference_cases():
+    """(shape, pose, size) covering every kind, jittered poses, both poles,
+    a camera just outside the bounding sphere and non-power-of-two sizes."""
+    rng = fresh_rng(11)
+    cases = []
+    for class_id, kind in enumerate(render.CLASS_KINDS):
+        shape = render.make_object(kind, class_id, seed=20 + class_id)
+        bound = float(np.linalg.norm(render.build_mesh(shape)[0], axis=1).max())
+        poses = [
+            render.sample_camera(render.CameraPose(0.48 * np.pi, phi, 3.0), 0.15, rng)
+            for phi in (0.0, 1.3, 2.9, 4.4)
+        ]
+        poses += [
+            render.CameraPose(0.0, 0.7, 3.0),
+            render.CameraPose(float(np.pi), 2.1, 3.0),
+            render.CameraPose(0.9, 5.0, bound * (1.0 + 1e-9)),
+        ]
+        for pose in poses:
+            cases += [(shape, pose, size) for size in (render.IMG_SIZE, 17, 31)]
+    return cases
+
+
+def test_render_matches_per_triangle_reference():
+    for shape, pose, size in reference_cases():
+        img = render.render(shape, pose, size)
+        assert np.array_equal(img, oracles.render_reference(shape, pose, size)), (
+            shape.kind, pose, size,
+        )
+
+
+def test_render_keeps_each_face_in_its_bounding_box(monkeypatch):
+    # Seen from the pole, camera space is world space shifted along z, so the
+    # sliver's first two vertices project exactly onto the image diagonal
+    # y = x, which passes through pixel centres. The second sits just in front
+    # of the camera, so the edge functions are large and round to "inside" at
+    # diagonal pixels beyond the first vertex, outside the sliver's bounding
+    # box. The specks in two corners widen the evaluated window over them.
+    k = 0.95 * 3.0 / (1.0 / np.tan(np.radians(render.FOV_DEGREES) / 2.0))
+    verts = np.array([
+        [-0.46510523251541114, -0.46510523251541114, 0.0],
+        [-0.0007967582067045718, -0.0007967582067045718, 2.999999746070531],
+        [-0.0008047943980753697, -0.0008047943980753511, 2.999999740922377],
+        [-k, k, 0.0], [-k + 0.01, k, 0.0], [-k, k - 0.01, 0.0],
+        [k, -k, 0.0], [k - 0.01, -k, 0.0], [k, -k + 0.01, 0.0],
+    ])
+    faces = np.arange(9).reshape(3, 3)
+    monkeypatch.setitem(render._MESH_BUILDERS, "cube", lambda size: (verts, faces))
+    shape = render.ShapeSpec(0, "cube", 1.0, (0.5, 0.5, 0.5))
+    pose = render.CameraPose(0.0, 0.0, 3.0)
+    img = render.render(shape, pose)
+    assert np.array_equal(img, oracles.render_reference(shape, pose))
+
+
+@pytest.mark.parametrize("corners", [
+    [[0.001, 0.001, 0.0], [0.002, 0.001, 0.0], [0.001, 0.002, 0.0]],  # between pixel centres
+    [[0.1, 0.1, 0.0], [0.2, 0.2, 0.0], [0.3, 0.3, 0.0]],  # zero area
+])
+def test_render_of_no_covered_pixel_is_background(monkeypatch, corners):
+    verts, faces = np.array(corners), np.array([[0, 1, 2]])
+    monkeypatch.setitem(render._MESH_BUILDERS, "cube", lambda size: (verts, faces))
+    shape = render.ShapeSpec(0, "cube", 1.0, (0.5, 0.5, 0.5))
+    img = render.render(shape, render.CameraPose(0.0, 0.0, 3.0), 16)
+    assert np.array_equal(img, np.broadcast_to(render.BACKGROUND, (16, 16, 3)))
+
+
+def test_default_dataset_pixels_pinned(default_dataset):
+    blob = np.ascontiguousarray(default_dataset.images, dtype="<f8").tobytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "a2c2c3ffd03a967e22c07cea625827ff582e16f6c101897cab3000b09448b38b"
+    )
 
 
 def test_degenerate_pose_rejected():
