@@ -39,11 +39,11 @@ def main():
         params, _ = train_mod.train(train_mod.init_params(0), ds.images[tr],
                                     ds.labels[tr], train_mod.TrainConfig())
 
-    views_tr = [ds.view(int(i)) for i in ds.indices("train", object_id=args.object)]
-    views_te = [ds.view(int(i)) for i in ds.indices("test", object_id=args.object)]
-    label = views_tr[0].label
+    tr = ds.indices("train", object_id=args.object)
+    te = ds.indices("test", object_id=args.object)
+    label = int(ds.labels[tr[0]])
     print(f"object {args.object} (class {label}, {render.CLASS_KINDS[label]}): "
-          f"{len(views_tr)} crafting views, {len(views_te)} held out, eps={args.eps:g}/255")
+          f"{len(tr)} crafting views, {len(te)} held out, eps={args.eps:g}/255")
 
     cfg = attacks.AttackConfig(family="viap", eps=args.eps, iterations=args.iters)
 
@@ -52,8 +52,8 @@ def main():
             print(f"  iter {n + 1:>3}  batch loss {loss:.4f}  |delta|_inf "
                   f"{np.abs(delta).max() * 255:.2f}/255")
 
-    xc, yc = render.stack_views(views_tr)
-    pert = attacks.viap_arrays(params, xc, yc, cfg, view_ids=[v.view_id for v in views_tr],
+    xc, yc = ds.images[tr], ds.labels[tr]
+    pert = attacks.viap_arrays(params, xc, yc, cfg, view_ids=ds.view_ids[tr].tolist(),
                                trace=progress)
 
     # per-image baseline: mean of the crafting views' own FGSM deltas
@@ -61,20 +61,20 @@ def main():
     fgsm_delta = (attacks.bim_batch(params, xc, yc, fgsm) - xc).mean(axis=0)
 
     print(f"\n{'view':>6} {'split':>6} {'clean':>8} {'viap':>8} {'fgsm-mean':>9}")
-    for views, split in ((views_tr, "train"), (views_te, "test")):
-        x, y = render.stack_views(views)
+    for idx, split in ((tr, "train"), (te, "test")):
+        x, y = ds.images[idx], ds.labels[idx]
         clean = true_softmax(params, x, y)
         adv = true_softmax(params, pert.apply(x), y)
         carried = true_softmax(params, attacks.apply_delta(fgsm_delta, x), y)
-        for v, view in enumerate(views):
-            print(f"{view.view_id:>6} {split:>6} {clean[v]:8.4f} {adv[v]:8.4f} "
+        for v, view_id in enumerate(ds.view_ids[idx]):
+            print(f"{view_id:>6} {split:>6} {clean[v]:8.4f} {adv[v]:8.4f} "
                   f"{carried[v]:9.4f}")
 
     os.makedirs(args.out, exist_ok=True)
     attacks.save_perturbation(pert, os.path.join(args.out, "delta.viapdlt"))
-    x, _ = render.stack_views(views_te)
-    render.write_ppm(x[0], os.path.join(args.out, "clean.ppm"))
-    render.write_ppm(pert.apply(x[0]), os.path.join(args.out, "adv.ppm"))
+    x = ds.images[te[0]]
+    render.write_ppm(x, os.path.join(args.out, "clean.ppm"))
+    render.write_ppm(pert.apply(x), os.path.join(args.out, "adv.ppm"))
     # the raw field is tiny; rescale to full range so it is visible at all
     d = pert.delta
     render.write_ppm((d - d.min()) / max(np.ptp(d), 1e-12),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class AttackConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown attack family {self.family!r}; know {FAMILIES}")
-        if self.eps < 0.0:
+        if not (self.eps >= 0.0):
             raise ValueError("eps must be >= 0")
         iters = self.iterations
         if iters is None:
@@ -61,7 +61,7 @@ class AttackConfig:
             raise ValueError("iterations must be >= 1")
         if self.family in SINGLE_STEP_FAMILIES and iters != 1:
             raise ValueError(f"{self.family} is single-step; iterations must be 1")
-        if self.rho < 0.0:
+        if not (self.rho >= 0.0):
             raise ValueError("rho must be >= 0")
         if self.step is not None and not (self.step > 0.0):
             raise ValueError("explicit step must be positive")
@@ -82,40 +82,10 @@ class AttackConfig:
             return self.step / 255.0
         return max(2.5 * self.eps / self.iterations, MIN_AUTO_STEP) / 255.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "eps": self.eps,
-            "step": self.step,
-            "iterations": self.iterations,
-            "target": self.target,
-            "rho": self.rho,
-            "seed": self.seed,
-            "literal_eq_step": self.literal_eq_step,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "AttackConfig":
-        return cls(**{k: d[k] for k in (
-            "family", "eps", "step", "iterations", "target", "rho", "seed",
-            "literal_eq_step",
-        ) if k in d})
-
 
 # ---------------------------------------------------------------------------
-# Clipping / application
+# Application
 # ---------------------------------------------------------------------------
-
-def clip_ball(adv: np.ndarray, clean: np.ndarray, eps: float) -> np.ndarray:
-    """Project into the L-inf eps-ball around clean AND into valid pixel range.
-
-    eps here is in [0,1] image units. Elementwise this is
-    min(max(adv, clean-eps, 0), clean+eps, 1).
-    """
-    if adv.shape != clean.shape:
-        raise ValueError("adv and clean shapes differ")
-    return np.clip(np.clip(adv, clean - eps, clean + eps), 0.0, 1.0)
-
 
 def apply_delta(delta: np.ndarray, images: np.ndarray) -> np.ndarray:
     """Add a universal noise field to one image or a stack; clamp to [0,1]."""
@@ -270,7 +240,7 @@ def viap_arrays(
 def save_perturbation(p: Perturbation, path) -> None:
     """magic + u32 JSON header length + header + raw little-endian f64 delta."""
     header = {
-        "config": p.config.to_json_dict(),
+        "config": asdict(p.config),
         "view_ids": list(p.view_ids),
         "final_loss": p.final_loss,
         "shape": list(p.delta.shape),
@@ -302,7 +272,7 @@ def load_perturbation(path) -> Perturbation:
             raise ValueError(f"{payload} payload bytes do not hold a float64 array of shape {shape}")
         return Perturbation(
             delta=np.frombuffer(buf, dtype="<f8", offset=start + n).reshape(shape),
-            config=AttackConfig.from_json_dict(header["config"]),
+            config=AttackConfig(**header["config"]),
             view_ids=tuple(header["view_ids"]),
             final_loss=header["final_loss"],
         )

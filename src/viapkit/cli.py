@@ -10,9 +10,12 @@ reproduces every output byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -24,37 +27,35 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_GATE = 3
 
+# Each command's defaults are the keyword defaults of what reads them.
 DEFAULT_DATASET_CFG = {
-    "classes": list(render.CLASS_KINDS),
-    "objects_per_class": 4,
-    "views_per_object": 10,
-    "train_views": None,
-    "seed": 7,
-    "jitter_frac": 0.15,
-    "axis_restrict": "theta",
-    "image_size": render.IMG_SIZE,
-    "camera_radius": 3.0,
+    name: p.default
+    for name, p in inspect.signature(render.generate_dataset).parameters.items()
+    if p.kind is p.KEYWORD_ONLY
 }
-
-DEFAULT_TRAIN_CFG = {
-    "epochs": train_mod.DEFAULT_EPOCHS,
-    "batch_size": train_mod.DEFAULT_BATCH,
-    "lr": train_mod.DEFAULT_LR,
-    "momentum": train_mod.DEFAULT_MOMENTUM,
-    "seed": 0,
-}
-
+DEFAULT_TRAIN_CFG = dataclasses.asdict(train_mod.TrainConfig())
+# the sweep's seed is the config file's top-level seed
 DEFAULT_SWEEP_CFG = {
-    "eps_grid": list(evaluate.DEFAULT_EPS_GRID),
-    "families": list(attacks.FAMILIES),
-    "iterations": attacks.DEFAULT_ITERATIONS,
-    "rho": attacks.DEFAULT_RHO,
-    "step": None,
-    "literal_eq_step": False,
-    "ttest_eps": 5.0,
-    "gate_train": 0.95,
-    "gate_test": 0.90,
-    "jobs": 1,
+    k: v for k, v in dataclasses.asdict(evaluate.SweepConfig()).items() if k != "seed"
+}
+# attack adds the family and eps AttackConfig requires, a drawn target and
+# which object to craft on
+DEFAULT_ATTACK_CFG = {
+    **{f.name: f.default for f in dataclasses.fields(attacks.AttackConfig)},
+    "family": "viap", "eps": [5.0], "target": "random", "object": 0,
+}
+
+# The type each setting takes, from the same readers. attack reads eps and
+# target itself first: one eps, as a number or a one-element list, and
+# "random" for the target the sweep draws.
+SETTING_TYPES = {
+    "dataset": typing.get_type_hints(render.generate_dataset),
+    "train": typing.get_type_hints(train_mod.TrainConfig),
+    "sweep": typing.get_type_hints(evaluate.SweepConfig),
+    "attack": {
+        **typing.get_type_hints(attacks.AttackConfig),
+        "eps": float | tuple[float, ...], "target": int | typing.Literal["random"], "object": int,
+    },
 }
 
 
@@ -79,6 +80,8 @@ def _check_sections(cfg: dict) -> dict:
         raise ValueError(f"unknown config key(s) {unknown}; expected sections {SECTIONS} or seed")
     if not all(isinstance(cfg.get(k, {}), dict) for k in SECTIONS):
         raise ValueError(f"config sections {SECTIONS} must be JSON objects")
+    # the top-level seed is the sweep's, so it takes the sweep's seed type
+    _merge({"seed": None}, SETTING_TYPES["sweep"], {k: v for k, v in cfg.items() if k == "seed"})
     return cfg
 
 
@@ -87,15 +90,42 @@ def _section(cfg: dict, name: str) -> dict:
     return _check_sections(cfg).get(name, {}) if any(k in cfg for k in SECTIONS) else cfg
 
 
-def _merge(defaults: dict, *overrides: dict) -> dict:
-    """Layer overrides onto defaults; a None override keeps the value below it."""
+def _type_name(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) else str(hint)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a value read from JSON can stand for a setting of type hint.
+
+    A JSON array stands for a tuple, and a whole number for a float; a bool
+    is no number.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if origin is typing.Literal:
+        return value in args
+    if args:  # a union
+        return any(_fits(value, h) for h in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _merge(defaults: dict, types: dict, file_cfg: dict, flags: dict | None = None) -> dict:
+    """defaults <- config file values <- flags; a flag left None was not given.
+
+    A file value must fit its setting's type, so null only sets a setting
+    whose reader takes None.
+    """
     out = dict(defaults)
-    for layer in overrides:
-        for k, v in layer.items():
-            if k not in defaults:
-                raise ValueError(f"unknown config key {k!r}; expected one of {sorted(defaults)}")
-            if v is not None or out[k] is None:
-                out[k] = v
+    for k, v in file_cfg.items():
+        if k not in defaults:
+            raise ValueError(f"unknown config key {k!r}; expected one of {sorted(defaults)}")
+        if not _fits(v, types[k]):
+            raise ValueError(f"config key {k!r} takes {_type_name(types[k])}; got {json.dumps(v)}")
+        out[k] = v
+    out.update((k, v) for k, v in (flags or {}).items() if v is not None)
     return out
 
 
@@ -128,7 +158,7 @@ def _parse_target(text: str):
 
 def cmd_dataset(args) -> int:
     file_cfg = _section(_load_config_file(args.config), "dataset")
-    cfg = _merge(DEFAULT_DATASET_CFG, file_cfg, {"seed": args.seed})
+    cfg = _merge(DEFAULT_DATASET_CFG, SETTING_TYPES["dataset"], file_cfg, {"seed": args.seed})
     out = args.out or "runs/dataset"
     _echo_config(cfg, out)
     ds = render.generate_dataset(out_dir=out, **cfg)
@@ -157,9 +187,8 @@ def _train_and_save(
 
 
 def cmd_train(args) -> int:
-    cfg = _merge(
-        DEFAULT_TRAIN_CFG, _section(_load_config_file(args.config), "train"), {"seed": args.seed}
-    )
+    file_cfg = _section(_load_config_file(args.config), "train")
+    cfg = _merge(DEFAULT_TRAIN_CFG, SETTING_TYPES["train"], file_cfg, {"seed": args.seed})
     out = args.out or "runs/model"
     _echo_config(cfg, out)
     tcfg = train_mod.TrainConfig(**cfg)
@@ -181,11 +210,7 @@ def cmd_train(args) -> int:
 
 def cmd_attack(args) -> int:
     cfg = _merge(
-        {
-            "family": "viap", "eps": [5.0], "iterations": None, "target": "random",
-            "rho": attacks.DEFAULT_RHO, "step": None, "literal_eq_step": False,
-            "seed": 0, "object": 0,
-        },
+        DEFAULT_ATTACK_CFG, SETTING_TYPES["attack"],
         _section(_load_config_file(args.config), "attack"),
         {
             "family": args.family, "eps": args.eps, "iterations": args.iters,
@@ -218,11 +243,10 @@ def cmd_attack(args) -> int:
         else:
             target = int(cfg["target"])
 
-    acfg = attacks.AttackConfig(
-        family=family, eps=eps, step=cfg["step"], iterations=cfg["iterations"],
-        target=target, rho=cfg["rho"], seed=cfg["seed"],
-        literal_eq_step=cfg["literal_eq_step"],
-    )
+    acfg = attacks.AttackConfig(**{
+        **{f.name: cfg[f.name] for f in dataclasses.fields(attacks.AttackConfig)},
+        "eps": eps, "target": target,
+    })
 
     if family in attacks.VIAP_FAMILIES:
         pert = attacks.viap_arrays(
@@ -246,9 +270,10 @@ def cmd_attack(args) -> int:
         if len(idx) == 0:
             continue
         adv_split = pert.apply(ds.images[idx])
-        probs = nn.softmax(nn.forward(params, adv_split))
+        logits = nn.forward(params, adv_split)
+        probs = nn.softmax(logits)
         metrics[f"{split}_tracked_softmax"] = float(probs[:, tracked_label].mean())
-        metrics[f"{split}_top1_true"] = evaluate.top1_accuracy(params, adv_split, ds.labels[idx])
+        metrics[f"{split}_top1_true"] = float(np.mean(np.argmax(logits, axis=1) == ds.labels[idx]))
         write_idx = int(idx[0])
         render.write_ppm(ds.images[write_idx], os.path.join(out, f"clean_{split}_{write_idx}.ppm"))
         render.write_ppm(adv_split[0], os.path.join(out, f"adv_{split}_{write_idx}.ppm"))
@@ -262,29 +287,23 @@ def cmd_attack(args) -> int:
 
 def cmd_sweep(args) -> int:
     file_cfg = _check_sections(_load_config_file(args.config))
-    dataset_cfg = _merge(DEFAULT_DATASET_CFG, file_cfg.get("dataset", {}))
-    train_cfg = _merge(DEFAULT_TRAIN_CFG, file_cfg.get("train", {}))
+    seed = args.seed if args.seed is not None else file_cfg.get("seed", evaluate.SweepConfig.seed)
+    dataset_cfg = _merge(DEFAULT_DATASET_CFG, SETTING_TYPES["dataset"], file_cfg.get("dataset", {}))
+    train_cfg = _merge(DEFAULT_TRAIN_CFG, SETTING_TYPES["train"], file_cfg.get("train", {}))
     sweep_cfg = _merge(
-        DEFAULT_SWEEP_CFG,
-        file_cfg.get("sweep", {}),
+        DEFAULT_SWEEP_CFG, SETTING_TYPES["sweep"], file_cfg.get("sweep", {}),
         {
             "eps_grid": args.eps, "iterations": args.iters, "jobs": args.jobs,
             "families": args.family.split(",") if args.family else None,
             "literal_eq_step": True if args.literal_eq_step else None,
         },
     )
-    global_seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
     out = args.out or "runs/sweep"
-    resolved = {
-        "seed": global_seed, "dataset": dataset_cfg, "train": train_cfg,
-        "sweep": sweep_cfg,
-    }
-    _echo_config(resolved, out)
+    _echo_config(
+        {"seed": seed, "dataset": dataset_cfg, "train": train_cfg, "sweep": sweep_cfg}, out
+    )
     # a bad train or sweep setting fails here, before any rendering or training
-    scfg = evaluate.SweepConfig(**{
-        **sweep_cfg, "seed": global_seed,
-        "eps_grid": tuple(sweep_cfg["eps_grid"]), "families": tuple(sweep_cfg["families"]),
-    })
+    scfg = evaluate.SweepConfig(**sweep_cfg, seed=seed)
     tcfg = train_mod.TrainConfig(**train_cfg)
 
     if args.dataset:

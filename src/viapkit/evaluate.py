@@ -1,4 +1,4 @@
-"""Evaluation harness: top-1 metrics, eps sweeps, Welch t-tests, reports.
+"""Evaluation harness: eps sweeps, Welch t-tests, reports.
 
 The sweep reproduces the measurement protocol behind the attack comparison
 tables: every attack is crafted on an object's training views only, then
@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,19 +40,6 @@ class GateFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Top-1 metrics
-# ---------------------------------------------------------------------------
-
-def top1_accuracy(params: nn.ModelParams, images: np.ndarray, labels) -> float:
-    """Fraction of views whose argmax logit is the true label."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) == 0:
-        raise ValueError("empty split")
-    pred = np.argmax(nn.forward(params, images), axis=1)
-    return float(np.mean(pred == labels))
-
-
-# ---------------------------------------------------------------------------
 # Welch two-sample t-test (hand-rolled incomplete beta)
 # ---------------------------------------------------------------------------
 
@@ -64,12 +51,6 @@ class TTestResult:
     p_value: float
     n_a: int
     n_b: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label, "t": self.t, "df": self.df,
-            "p_value": self.p_value, "n_a": self.n_a, "n_b": self.n_b,
-        }
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -156,9 +137,9 @@ def welch_ttest(sample_a, sample_b, label: str = "a-vs-b") -> TTestResult:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    eps_grid: tuple = DEFAULT_EPS_GRID
-    families: tuple = FAMILIES
-    iterations: int = 20
+    eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID
+    families: tuple[str, ...] = FAMILIES
+    iterations: int = attacks.DEFAULT_ITERATIONS
     seed: int = 0
     rho: float = attacks.DEFAULT_RHO
     step: float | None = None
@@ -169,28 +150,27 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        for f in self.families:
-            if f not in FAMILIES:
-                raise ValueError(f"unknown family {f!r}")
-        if any(e < 0 for e in self.eps_grid) or len(self.eps_grid) == 0:
+        object.__setattr__(self, "eps_grid", tuple(self.eps_grid))
+        object.__setattr__(self, "families", tuple(self.families))
+        if len(self.eps_grid) == 0 or not all(e >= 0 for e in self.eps_grid):
             raise ValueError("eps grid must be non-empty and non-negative")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.step is not None and not (self.step > 0.0):
-            raise ValueError("explicit step must be positive")
-        if not (self.rho >= 0.0):
-            raise ValueError("rho must be >= 0")
+        # each family's attack settings, at the grid's largest eps so that the
+        # step checks run whenever any eps is positive; bim also checks the
+        # iteration count that single-step families ignore
+        for family in (*self.families, "bim"):
+            self.attack_config(family, max(self.eps_grid))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eps_grid": list(self.eps_grid), "families": list(self.families),
-            "iterations": self.iterations, "seed": self.seed, "rho": self.rho,
-            "step": self.step, "literal_eq_step": self.literal_eq_step,
-            "ttest_eps": self.ttest_eps, "gate_train": self.gate_train,
-            "gate_test": self.gate_test, "jobs": self.jobs,
-        }
+    def attack_config(
+        self, family: str, eps: float, target: int | None = None, seed: int = 0
+    ) -> AttackConfig:
+        """The config this sweep crafts family at eps with; fgsm families take one step."""
+        return AttackConfig(
+            family=family, eps=eps, step=self.step,
+            iterations=1 if family in SINGLE_STEP_FAMILIES else self.iterations,
+            target=target, rho=self.rho, seed=seed, literal_eq_step=self.literal_eq_step,
+        )
 
 
 @dataclass
@@ -276,11 +256,7 @@ def _make_cell(params, family, eps, split, images, labels, targets_pv, is_target
 
 
 def confidence_sweep(
-    params: nn.ModelParams,
-    dataset: Dataset,
-    families: tuple | None = None,
-    eps_grid: tuple | None = None,
-    config: SweepConfig = SweepConfig(),
+    params: nn.ModelParams, dataset: Dataset, config: SweepConfig = SweepConfig()
 ) -> SweepResult:
     """Craft-on-train / score-on-both sweep over every (family, eps) cell.
 
@@ -291,13 +267,6 @@ def confidence_sweep(
     every family. Objects are independent, so crafting may run on a thread
     pool (config.jobs) without changing any output bit.
     """
-    if families is not None or eps_grid is not None:
-        config = replace(
-            config,
-            families=tuple(families) if families is not None else config.families,
-            eps_grid=tuple(eps_grid) if eps_grid is not None else config.eps_grid,
-        )
-
     train_idx = dataset.indices("train")
     test_idx = dataset.indices("test")
     x_tr, y_tr = dataset.images[train_idx], dataset.labels[train_idx]
@@ -342,14 +311,11 @@ def confidence_sweep(
     def craft_object(family, eps, o, adv_tr, adv_te):
         pos_t, pos_e = tr_pos[o], te_pos[o]
         imgs, lbls = x_tr[pos_t], y_tr[pos_t]
-        cfg = AttackConfig(
-            family=family, eps=eps, step=config.step,
-            iterations=1 if family in SINGLE_STEP_FAMILIES else config.iterations,
-            target=targets[o] if attacks.targeted(family) else None, rho=config.rho,
+        cfg = config.attack_config(
+            family, eps, target=targets[o] if attacks.targeted(family) else None,
             seed=_derived_seed(
                 [config.seed, _ATTACK_STREAM, FAMILIES.index(family), int(round(eps * 1000)), o]
             ),
-            literal_eq_step=config.literal_eq_step,
         )
         if family in VIAP_FAMILIES:
             pert = attacks.viap_arrays(
@@ -480,12 +446,12 @@ def emit_report(sweep: SweepResult, ttests: list, out_dir) -> list:
         written.append("significance.csv")
 
     report = {
-        "config": sweep.config.to_json_dict(),
+        "config": asdict(sweep.config),
         "clean": sweep.clean,
         "targets": {str(k): v for k, v in sorted(sweep.targets.items())},
         "split_indices": sweep.split_indices,
         "cells": [c.to_json_dict() for c in sweep.cells],
-        "ttests": [t.to_json_dict() for t in ttests],
+        "ttests": [asdict(t) for t in ttests],
         "footnotes": list(_FOOTNOTES),
     }
     with open(os.path.join(out_dir, "report.json"), "w") as fh:

@@ -242,9 +242,6 @@ class CameraPose:
         if not (self.radius > 0.0):
             raise ValueError("radius must be positive")
 
-    def as_tuple(self) -> tuple:
-        return (self.theta, self.phi, self.radius)
-
 
 AXES = ("theta", "phi", "radius")
 
@@ -430,18 +427,6 @@ def write_ppm(image: np.ndarray, path) -> None:
 # Dataset
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LabeledView:
-    """One rendered image plus everything needed to reproduce or score it."""
-
-    image: np.ndarray
-    label: int
-    object_id: int
-    view_id: int
-    pose: CameraPose
-    split: str
-
-
 @dataclass
 class DatasetManifest:
     classes: tuple
@@ -513,31 +498,8 @@ class Dataset:
             keep &= self.object_ids == object_id
         return np.flatnonzero(keep)
 
-    def view(self, i: int) -> LabeledView:
-        rec = self.manifest.views[i]
-        return LabeledView(
-            image=self.images[i],
-            label=int(self.labels[i]),
-            object_id=int(self.object_ids[i]),
-            view_id=int(self.view_ids[i]),
-            pose=CameraPose(*rec["pose"]),
-            split=rec["split"],
-        )
-
-    def views(self, idx) -> list:
-        return [self.view(int(i)) for i in idx]
-
     def objects(self) -> list[int]:
         return sorted(set(int(o) for o in self.object_ids))
-
-
-def stack_views(views) -> tuple[np.ndarray, np.ndarray]:
-    """Stack LabeledViews into a batch + label vector."""
-    if not views:
-        raise ValueError("no views to stack")
-    images = np.stack([v.image for v in views])
-    labels = np.array([v.label for v in views], dtype=np.int64)
-    return images, labels
 
 
 def base_viewpoints(n_views: int, radius: float) -> list[CameraPose]:
@@ -558,7 +520,7 @@ def base_viewpoints(n_views: int, radius: float) -> list[CameraPose]:
 def generate_dataset(
     out_dir=None,
     *,
-    classes: tuple = CLASS_KINDS,
+    classes: tuple[str, ...] = CLASS_KINDS,
     objects_per_class: int = 4,
     views_per_object: int = 10,
     train_views: int | None = None,
@@ -581,6 +543,10 @@ def generate_dataset(
     that scaling pushes the finest class stripes against the raster grid's
     resolving limit where they stop being readable.
     """
+    if not classes or not set(classes) <= set(CLASS_KINDS):
+        raise ValueError(f"classes must be a non-empty list of {CLASS_KINDS}; got {list(classes)}")
+    if objects_per_class < 1:
+        raise ValueError("objects_per_class must be at least 1")
     if views_per_object < 2:
         raise ValueError("views_per_object must be at least 2 (both splits need a view)")
     if train_views is None:

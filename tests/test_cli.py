@@ -75,6 +75,12 @@ def test_attack_fgsm(tiny_run, capsys):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["object"] == 1
     assert "train_tracked_softmax" in metrics
+    ds = render.load_dataset(ds_dir)
+    params = nn.load_params(model_dir / "weights.viapnet")
+    for split in ("train", "test"):
+        idx = ds.indices(split, object_id=1)
+        pred = np.argmax(nn.forward(params, pert.apply(ds.images[idx])), axis=1)
+        assert metrics[f"{split}_top1_true"] == np.mean(pred == ds.labels[idx])
     ppms = list(out.glob("*.ppm"))
     assert len(ppms) == 4  # clean/adv for each split
 
@@ -231,6 +237,20 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys, command, cfg, key):
     assert not (out / "config.json").exists()
 
 
+@pytest.mark.parametrize("command,cfg,key", [
+    ("dataset", {"seed": "abc", "dataset": TINY_DS}, "'seed' takes int"),
+    ("dataset", {**TINY_DS, "axis_restrict": 3}, "'axis_restrict' takes str | None"),
+    ("train", {"train": {"lr": "fast"}}, "'lr' takes float"),
+])
+def test_ill_typed_config_value_is_usage_error(tmp_path, capsys, command, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_USAGE
+    assert key in last_error(capsys)["message"]
+    assert not (out / "config.json").exists()
+
+
 @pytest.mark.parametrize("cfg,flags,message", [
     ({"sweep": {"step": 0, "iterations": 0}}, [], "must be"),
     ({"sweep": {"step": 0}}, [], "step must be positive"),
@@ -239,6 +259,20 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys, command, cfg, key):
     ({}, ["--iters", "0"], "iterations must be >= 1"),
     ({"sweep": {"rho": -0.1}}, [], "rho must be >= 0"),
     ({"train": {"epochs": 0}}, [], "epochs must be >= 1"),
+    ({"train": {"epochs": "3"}}, [], "'epochs' takes int"),
+    ({"sweep": {"eps_grid": 5}}, [], "'eps_grid' takes tuple[float, ...]"),
+    ({"sweep": {"eps_grid": [0, "3"]}}, [], "'eps_grid' takes tuple[float, ...]"),
+    ({"dataset": {"objects_per_class": "2"}}, [], "'objects_per_class' takes int"),
+    ({"dataset": {"classes": ["cube", "blob"]}}, [], "blob"),
+    ({"dataset": {"objects_per_class": 0}}, [], "objects_per_class must be at least 1"),
+    ({"train": {"seed": 1.5}}, [], "'seed' takes int"),
+    ({"train": {"seed": None}}, [], "'seed' takes int"),
+    ({"train": {"lr": True}}, [], "'lr' takes float"),
+    ({"sweep": {"gate_train": "x"}}, [], "'gate_train' takes float"),
+    ({"sweep": {"ttest_eps": "5"}}, [], "'ttest_eps' takes float"),
+    ({"sweep": {"iterations": None}}, [], "'iterations' takes int"),
+    ({"seed": "abc"}, [], "'seed' takes int"),
+    ({"sweep": {"iterations": 0, "families": ["fgsm"]}}, [], "iterations must be >= 1"),
 ])
 def test_sweep_rejects_bad_settings_before_any_work(tmp_path, capsys, cfg, flags, message):
     path = tmp_path / "cfg.json"
@@ -269,6 +303,41 @@ def test_dataset_reads_config_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_load_config_file", lambda path: reads.append(path) or load(path))
     assert cli.main(["dataset", "--config", str(cfg), "--out", str(tmp_path / "d")]) == cli.EXIT_OK
     assert reads == [str(cfg)]
+
+
+def test_attack_config_takes_eps_and_target_forms(tiny_run, capsys):
+    root, _, ds_dir, model_dir = tiny_run
+    ds = render.load_dataset(ds_dir)
+    true_label = int(ds.labels[ds.indices(object_id=0)][0])
+    argv = ["attack", "--dataset", str(ds_dir), "--weights", str(model_dir / "weights.viapnet")]
+    for i, (section, ok) in enumerate([
+        ({"eps": 3}, True),
+        ({"eps": [3.0], "family": "fgsm-t", "target": (true_label + 1) % 4}, True),
+        ({"eps": 3, "family": "fgsm-t", "target": "random"}, True),
+        ({"eps": "3"}, False),
+        ({"eps": 3, "target": "first"}, False),
+        ({"eps": 3, "object": 0.5}, False),
+    ]):
+        cfg, out = root / f"atk-forms-{i}.json", root / f"atk-forms-{i}"
+        cfg.write_text(json.dumps({"attack": {"family": "fgsm", **section}}))
+        rc = cli.main(argv + ["--config", str(cfg), "--out", str(out)])
+        assert rc == (cli.EXIT_OK if ok else cli.EXIT_USAGE), section
+        assert (out / "config.json").exists() == ok
+        if ok:
+            assert json.loads((out / "config.json").read_text())["eps"] == section["eps"]
+        else:
+            assert "takes" in last_error(capsys)["message"]
+
+
+def test_null_in_config_file_sets_none(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY_DS, "axis_restrict": None}))
+    out = tmp_path / "ds"
+    assert cli.main(["dataset", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads((out / "config.json").read_text())["axis_restrict"] is None
+    poses = [v["pose"] for v in json.loads((out / "manifest.json").read_text())["views"]]
+    # all three axes jitter, not only theta
+    assert any(radius != 3.0 for _, _, radius in poses)
 
 
 def test_attack_rejects_an_eps_list(tiny_run, capsys):

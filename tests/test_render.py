@@ -28,7 +28,7 @@ def test_pose_validation():
 def test_zero_jitter_returns_pose_unchanged():
     base = render.CameraPose(0.7, 2.0, 3.0)
     out = render.sample_camera(base, 0.0, fresh_rng())
-    assert out.as_tuple() == base.as_tuple()
+    assert out == base
 
 
 @settings(max_examples=200, deadline=None)
@@ -339,15 +339,16 @@ def test_manifest_requires_both_splits():
         m.validate()
 
 
-def test_views_too_few_rejected():
-    with pytest.raises(ValueError):
-        render.generate_dataset(objects_per_class=1, views_per_object=1, seed=0)
+def test_views_too_few_rejected(monkeypatch):
+    def no_render(*args, **kwargs):
+        raise AssertionError("rendered before rejecting the settings")
 
-
-def test_dataset_view_accessors(tiny_dataset):
-    ds = tiny_dataset
-    v = ds.view(0)
-    assert np.array_equal(v.image, ds.images[0])
-    assert v.split in ("train", "test")
-    imgs, labels = render.stack_views(ds.views(ds.indices("train")))
-    assert imgs.shape[0] == len(labels) == len(ds.indices("train"))
+    monkeypatch.setattr(render, "render", no_render)
+    for bad, message in (
+        ({"views_per_object": 1}, "views_per_object"),
+        ({"classes": ("cube", "blob")}, "blob"),
+        ({"classes": ()}, "classes"),
+        ({"objects_per_class": 0}, "objects_per_class"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            render.generate_dataset(**{"objects_per_class": 1, "seed": 0, **bad})
