@@ -53,12 +53,12 @@ def main():
                   f"{np.abs(delta).max() * 255:.2f}/255")
 
     xc, yc = ds.images[tr], ds.labels[tr]
-    pert = attacks.viap_arrays(params, xc, yc, cfg, view_ids=ds.view_ids[tr].tolist(),
-                               trace=progress)
+    delta = attacks.viap_arrays(params, xc, yc, cfg, trace=progress)
+    loss, _ = nn.softmax_cross_entropy(nn.forward(params, attacks.apply_delta(delta, xc)), yc)
+    pert = attacks.Perturbation(delta, cfg, ds.view_ids[tr].tolist(), loss)
 
     # per-image baseline: mean of the crafting views' own FGSM deltas
-    fgsm = attacks.AttackConfig(family="fgsm", eps=args.eps)
-    fgsm_delta = (attacks.bim_batch(params, xc, yc, fgsm) - xc).mean(axis=0)
+    _, fgsm_delta = attacks.craft(params, xc, yc, attacks.AttackConfig(family="fgsm", eps=args.eps))
 
     print(f"\n{'view':>6} {'split':>6} {'clean':>8} {'viap':>8} {'fgsm-mean':>9}")
     for idx, split in ((tr, "train"), (te, "test")):

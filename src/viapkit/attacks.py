@@ -5,7 +5,8 @@ All epsilons and step sizes in configs are on the 0-255 scale (so eps=5 means
 serve the six families: bim_batch perturbs each image of a stack
 independently (fgsm, fgsm-t, bim, bim-t; fgsm is its single eps-sized step),
 and viap_arrays crafts one image-shaped noise field shared by a stack of
-views of one object (viap, viap-t).
+views of one object (viap, viap-t). craft picks the kernel for a family and
+names the one delta that carries its attack to unseen views.
 """
 
 from __future__ import annotations
@@ -94,6 +95,12 @@ def apply_delta(delta: np.ndarray, images: np.ndarray) -> np.ndarray:
     return np.clip(images + delta, 0.0, 1.0)
 
 
+def _check_in_ball(delta: np.ndarray, config: AttackConfig) -> None:
+    """Reject a delta with any coordinate outside config's eps ball."""
+    if np.abs(delta).max(initial=0.0) > config.eps_unit + 1e-12:
+        raise ValueError("delta exceeds the eps ball")
+
+
 # ---------------------------------------------------------------------------
 # Sign-step kernels
 # ---------------------------------------------------------------------------
@@ -155,7 +162,7 @@ def bim_batch(
 
 @dataclass(frozen=True)
 class Perturbation:
-    """A universal noise field: one delta applied unchanged to every view."""
+    """A delta file's record; final_loss is the attack loss of craft's adv_views."""
 
     delta: np.ndarray
     config: AttackConfig
@@ -166,8 +173,7 @@ class Perturbation:
         delta = nn.as_f64(self.delta)
         if delta.ndim != 3:
             raise ValueError("delta must be one image-shaped (H, W, C) array")
-        if np.abs(delta).max(initial=0.0) > self.config.eps_unit + 1e-12:
-            raise ValueError("delta exceeds the eps ball")
+        _check_in_ball(delta, self.config)
         delta = delta.copy()
         delta.setflags(write=False)
         object.__setattr__(self, "delta", delta)
@@ -196,9 +202,8 @@ def viap_arrays(
     images: np.ndarray,
     labels: np.ndarray,
     config: AttackConfig,
-    view_ids=(),
     trace=None,
-) -> Perturbation:
+) -> np.ndarray:
     """Craft one universal delta over a stack of views: the viap / viap-t kernel.
 
     labels are the true labels; viap-t reads its target from config. delta
@@ -207,7 +212,7 @@ def viap_arrays(
     (untargeted) or descending the target-label loss (targeted) — with a
     clamp back to [-eps, +eps] after every update. The crafting batch is the
     raw X_i + delta (no pixel-range clamp); the clamp to [0,1] belongs to
-    application time, keeping delta view-independent.
+    application time, keeping delta view-independent. Returns the final delta.
     """
     images = nn.as_f64(images)
     if images.ndim != 4 or images.shape[0] < 1:
@@ -228,9 +233,25 @@ def viap_arrays(
         delta = np.clip(delta + sgn * step * np.sign(g), -e, e)
         if trace is not None:
             trace(n, delta, loss, g)
+    return delta
 
-    final_loss, _ = nn.softmax_cross_entropy(nn.forward(params, images + delta), y)
-    return Perturbation(delta=delta, config=config, view_ids=view_ids, final_loss=final_loss)
+
+def craft(
+    params: nn.ModelParams, images: np.ndarray, labels, config: AttackConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Attack a stack of one object's views; returns (adv_views, delta).
+
+    delta carries the attack to unseen views: viap's shared delta, or the
+    per-image families' mean noise (a mean of eps-ball noises stays in the ball).
+    """
+    if config.family in VIAP_FAMILIES:
+        delta = viap_arrays(params, images, labels, config)
+        adv_views = apply_delta(delta, images)
+    else:
+        adv_views = bim_batch(params, images, labels, config)
+        delta = (adv_views - images).mean(axis=0)
+    _check_in_ball(delta, config)
+    return adv_views, delta
 
 
 # ---------------------------------------------------------------------------

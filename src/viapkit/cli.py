@@ -147,9 +147,7 @@ def _parse_eps(text: str) -> list:
 
 
 def _parse_target(text: str):
-    if text == "random":
-        return "random"
-    return int(text)
+    return text if text == "random" else int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -243,24 +241,15 @@ def cmd_attack(args) -> int:
         else:
             target = int(cfg["target"])
 
+    # derive the init seed as the sweep does, so an attack reproduces its sweep cell
     acfg = attacks.AttackConfig(**{
         **{f.name: cfg[f.name] for f in dataclasses.fields(attacks.AttackConfig)},
-        "eps": eps, "target": target,
+        "eps": eps, "target": target, "seed": evaluate.attack_seed(cfg["seed"], family, eps, o),
     })
 
-    if family in attacks.VIAP_FAMILIES:
-        pert = attacks.viap_arrays(
-            params, imgs, lbls, acfg, view_ids=ds.view_ids[tr].tolist()
-        )
-    else:
-        adv = attacks.bim_batch(params, imgs, lbls, acfg)
-        loss, _ = nn.softmax_cross_entropy(
-            nn.forward(params, adv), attacks.loss_labels(acfg, lbls)
-        )
-        pert = attacks.Perturbation(
-            delta=(adv - imgs).mean(axis=0), config=acfg,
-            view_ids=ds.view_ids[tr].tolist(), final_loss=loss,
-        )
+    adv, delta = attacks.craft(params, imgs, lbls, acfg)
+    loss, _ = nn.softmax_cross_entropy(nn.forward(params, adv), attacks.loss_labels(acfg, lbls))
+    pert = attacks.Perturbation(delta, acfg, ds.view_ids[tr].tolist(), loss)
 
     attacks.save_perturbation(pert, os.path.join(out, "delta.viapdlt"))
     tracked_label = target if attacks.targeted(family) else true_label
@@ -321,6 +310,8 @@ def cmd_sweep(args) -> int:
 
     print(f"clean gate: train acc {result.clean['train_acc']:.4f}, "
           f"test acc {result.clean['test_acc']:.4f}")
+    if scfg.ttest_eps not in scfg.eps_grid:
+        print(f"no Welch t-tests: ttest_eps {scfg.ttest_eps:g} is not on the eps grid")
     for t in result.ttests:
         print(f"t-test {t.label}: t={t.t:.4f} df={t.df:.2f} p={t.p_value:.3e}")
     print(f"wrote {len(result.cells)} cells to {out}: {', '.join(files)}")

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from viapkit import attacks, nn, train
-from viapkit.attacks import AttackConfig, FAMILIES, SINGLE_STEP_FAMILIES, VIAP_FAMILIES
+from viapkit.attacks import AttackConfig, FAMILIES, SINGLE_STEP_FAMILIES
 from viapkit.render import Dataset, write_ppm
 
 DEFAULT_EPS_GRID = (0.0, 0.5, 1.0, 3.0, 5.0, 10.0, 15.0, 30.0, 50.0)
@@ -154,6 +154,9 @@ class SweepConfig:
         object.__setattr__(self, "families", tuple(self.families))
         if len(self.eps_grid) == 0 or not all(e >= 0 for e in self.eps_grid):
             raise ValueError("eps grid must be non-empty and non-negative")
+        for name, values in (("eps_grid", self.eps_grid), ("families", self.families)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats a value: {list(values)}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         # each family's attack settings, at the grid's largest eps so that the
@@ -236,11 +239,14 @@ def draw_target(seed: int, object_id: int, true_label: int, n_classes: int) -> i
     return t
 
 
-def _derived_seed(parts) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+def attack_seed(seed: int, family: str, eps: float, object_id: int) -> int:
+    """The init seed of family's craft at eps on an object, as sweep and attack both derive it."""
+    parts = [seed, _ATTACK_STREAM, FAMILIES.index(family), int(round(eps * 1000)), object_id]
+    return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
-def _make_cell(params, family, eps, split, images, labels, targets_pv, is_targeted) -> Cell:
+def _make_cell(params, family, eps, split, images, labels, targets_pv) -> Cell:
+    is_targeted = attacks.targeted(family)
     probs = nn.softmax(nn.forward(params, images))
     pred = np.argmax(probs, axis=1)
     rows = np.arange(len(labels))
@@ -260,12 +266,11 @@ def confidence_sweep(
 ) -> SweepResult:
     """Craft-on-train / score-on-both sweep over every (family, eps) cell.
 
-    Per object: the viap families craft one universal delta on its training
-    views and apply that same delta to both splits; the per-image families
-    perturb each training view directly and carry the object's mean training
-    noise onto its test views. eps = 0 short-circuits to clean images for
-    every family. Objects are independent, so crafting may run on a thread
-    pool (config.jobs) without changing any output bit.
+    Per object: attacks.craft attacks its training views, and the delta it
+    returns (viap's shared delta, or the per-image families' mean training
+    noise) is applied to its test views. eps = 0 short-circuits to clean
+    images for every family. Objects are independent, so crafting may run on
+    a thread pool (config.jobs) without changing any output bit.
     """
     train_idx = dataset.indices("train")
     test_idx = dataset.indices("test")
@@ -310,30 +315,14 @@ def confidence_sweep(
 
     def craft_object(family, eps, o, adv_tr, adv_te):
         pos_t, pos_e = tr_pos[o], te_pos[o]
-        imgs, lbls = x_tr[pos_t], y_tr[pos_t]
         cfg = config.attack_config(
             family, eps, target=targets[o] if attacks.targeted(family) else None,
-            seed=_derived_seed(
-                [config.seed, _ATTACK_STREAM, FAMILIES.index(family), int(round(eps * 1000)), o]
-            ),
+            seed=attack_seed(config.seed, family, eps, o),
         )
-        if family in VIAP_FAMILIES:
-            pert = attacks.viap_arrays(
-                params, imgs, lbls, cfg,
-                view_ids=dataset.view_ids[train_idx][pos_t].tolist(),
-            )
-            adv_tr[pos_t] = pert.apply(imgs)
-            adv_te[pos_e] = pert.apply(x_te[pos_e])
-            return
-        a_tr = attacks.bim_batch(params, imgs, lbls, cfg)
-        adv_tr[pos_t] = a_tr
-        # universality on unseen views for per-image families: carry the
-        # object's mean training noise over (stays inside the eps ball)
-        mean_noise = (a_tr - imgs).mean(axis=0)
-        adv_te[pos_e] = attacks.apply_delta(mean_noise, x_te[pos_e])
+        adv_tr[pos_t], delta = attacks.craft(params, x_tr[pos_t], y_tr[pos_t], cfg)
+        adv_te[pos_e] = attacks.apply_delta(delta, x_te[pos_e])
 
     for family in config.families:
-        is_targeted = attacks.targeted(family)
         for eps in config.eps_grid:
             if eps == 0.0:
                 adv_tr, adv_te = x_tr, x_te
@@ -351,12 +340,8 @@ def confidence_sweep(
                 else:
                     for o in objects:
                         craft_object(family, eps, o, adv_tr, adv_te)
-            result.cells.append(
-                _make_cell(params, family, eps, "train", adv_tr, y_tr, tgt_tr, is_targeted)
-            )
-            result.cells.append(
-                _make_cell(params, family, eps, "test", adv_te, y_te, tgt_te, is_targeted)
-            )
+            result.cells.append(_make_cell(params, family, eps, "train", adv_tr, y_tr, tgt_tr))
+            result.cells.append(_make_cell(params, family, eps, "test", adv_te, y_te, tgt_te))
             if eps > 0.0:
                 for p in sample_pos:
                     result.samples[(family, float(eps), int(test_idx[p]))] = adv_te[p].copy()

@@ -479,10 +479,6 @@ class Dataset:
         self.train_mask = np.array([r["split"] == "train" for r in manifest.views])
 
     @property
-    def classes(self) -> tuple:
-        return tuple(self.manifest.classes)
-
-    @property
     def n_classes(self) -> int:
         return len(self.manifest.classes)
 
@@ -549,6 +545,8 @@ def generate_dataset(
         raise ValueError("objects_per_class must be at least 1")
     if views_per_object < 2:
         raise ValueError("views_per_object must be at least 2 (both splits need a view)")
+    if image_size < 4:
+        raise ValueError("image_size must be at least 4 (the victim pools twice)")
     if train_views is None:
         train_views = min(views_per_object - 1, math.ceil(0.7 * views_per_object))
     if not (1 <= train_views <= views_per_object - 1):

@@ -29,7 +29,6 @@ GAIN_CONV1 = 10.0
 GAIN_CONV2 = 0.05
 
 
-
 class TrainingDiverged(RuntimeError):
     """Loss went non-finite mid-run; carries the epoch it happened in."""
 

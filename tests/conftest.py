@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viapkit import render, train
+from viapkit import attacks, render, train
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +39,29 @@ def tiny_dataset():
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Record every sign-step kernel call as (kernel, config, images, labels).
+
+    Each call must pass images 2nd and the config 4th positionally, which is
+    where the benchmark's tracer (perfbench/tracing.py) reads them.
+    """
+    calls = []
+
+    def recorder(kernel):
+        real = getattr(attacks, kernel)
+
+        def record(*args, **kwargs):
+            assert len(args) >= 4, kernel
+            _, images, labels, config = args[:4]
+            assert isinstance(images, np.ndarray), kernel
+            assert isinstance(config, attacks.AttackConfig), kernel
+            calls.append((kernel, config, images.copy(), np.asarray(labels).copy()))
+            return real(*args, **kwargs)
+        return record
+
+    for kernel in ("bim_batch", "viap_arrays"):
+        monkeypatch.setattr(attacks, kernel, recorder(kernel))
+    return calls

@@ -188,10 +188,10 @@ def test_viap_delta_within_ball_and_deterministic(rng):
     cfg = attacks.AttackConfig("viap", 5.0, iterations=6, seed=12)
     a = attacks.viap_arrays(params, x, y, cfg)
     b = attacks.viap_arrays(params, x, y, cfg)
-    assert np.array_equal(a.delta, b.delta)
-    assert np.max(np.abs(a.delta)) <= cfg.eps_unit + 1e-12
+    assert np.array_equal(a, b)
+    assert np.max(np.abs(a)) <= cfg.eps_unit + 1e-12
     c = attacks.viap_arrays(params, x, y, attacks.AttackConfig("viap", 5.0, iterations=6, seed=13))
-    assert not np.array_equal(a.delta, c.delta)
+    assert not np.array_equal(a, c)
 
 
 def test_viap_init_noise_respects_rho(rng):
@@ -217,8 +217,8 @@ def test_viap_eps_zero_gives_zero_delta(rng):
     params = tiny_params()
     x = interior_batch(rng, n=2)
     cfg = attacks.AttackConfig("viap", 0.0, iterations=3, seed=2)
-    p = attacks.viap_arrays(params, x, np.array([1, 2]), cfg)
-    assert np.array_equal(p.delta, np.zeros((8, 8, 3)))
+    delta = attacks.viap_arrays(params, x, np.array([1, 2]), cfg)
+    assert np.array_equal(delta, np.zeros((8, 8, 3)))
 
 
 def test_viap_validates_inputs(rng):
@@ -263,9 +263,9 @@ def test_monotone_pressure_on_victim(victim, default_dataset):
 
     cfg = attacks.AttackConfig("viap", 5.0, seed=1)
     first = []
-    p = attacks.viap_arrays(victim, images, labels, cfg,
-                            trace=lambda n, d, loss, g: first.append(loss) if n == 0 else None)
-    probs_end = nn.softmax(nn.forward(victim, p.apply(images)))
+    delta = attacks.viap_arrays(victim, images, labels, cfg,
+                                trace=lambda n, d, loss, g: first.append(loss) if n == 0 else None)
+    probs_end = nn.softmax(nn.forward(victim, attacks.apply_delta(delta, images)))
     probs_0 = nn.softmax(nn.forward(victim, images))
     true_end = probs_end[np.arange(len(labels)), labels].mean()
     true_0 = probs_0[np.arange(len(labels)), labels].mean()
@@ -274,10 +274,45 @@ def test_monotone_pressure_on_victim(victim, default_dataset):
     target = int((labels[0] + 1) % ds.n_classes)
     assert target not in set(labels.tolist())
     tcfg = attacks.AttackConfig("viap-t", 5.0, target=target, seed=1)
-    tp = attacks.viap_arrays(victim, images, labels, tcfg)
-    t_end = nn.softmax(nn.forward(victim, tp.apply(images)))[:, target].mean()
+    tdelta = attacks.viap_arrays(victim, images, labels, tcfg)
+    t_end = nn.softmax(nn.forward(victim, attacks.apply_delta(tdelta, images)))[:, target].mean()
     t_0 = probs_0[:, target].mean()
     assert t_end > t_0
+
+
+def test_craft_returns_views_and_the_delta_carried_to_unseen_views(rng):
+    params = tiny_params(3)
+    x = interior_batch(rng, n=3)
+    y = np.array([0, 1, 3])
+    for family in attacks.FAMILIES:
+        cfg = attacks.AttackConfig(
+            family, 6.0, iterations=1 if family in attacks.SINGLE_STEP_FAMILIES else 3,
+            target=2 if attacks.targeted(family) else None, seed=9,
+        )
+        adv, delta = attacks.craft(params, x, y, cfg)
+        assert adv.shape == x.shape and delta.shape == x.shape[1:]
+        assert np.max(np.abs(delta)) <= cfg.eps_unit + 1e-12
+        if family in attacks.VIAP_FAMILIES:
+            want = attacks.viap_arrays(params, x, y, cfg)
+            assert np.array_equal(delta, want)
+            assert np.array_equal(adv, attacks.apply_delta(want, x))
+        else:
+            want = attacks.bim_batch(params, x, y, cfg)
+            assert np.array_equal(adv, want)
+            assert np.array_equal(delta, (want - x).mean(axis=0))
+
+
+def test_craft_rejects_a_delta_outside_the_ball(rng, monkeypatch):
+    params = tiny_params()
+    x = interior_batch(rng, n=2)
+    cfg = attacks.AttackConfig("viap", 2.0, iterations=1)
+    monkeypatch.setattr(attacks, "viap_arrays", lambda *args: np.full(x.shape[1:], 0.5))
+    with pytest.raises(ValueError, match="eps ball"):
+        attacks.craft(params, x, np.array([0, 1]), cfg)
+    cfg = attacks.AttackConfig("bim", 2.0, iterations=1)
+    monkeypatch.setattr(attacks, "bim_batch", lambda *args: np.clip(x + 0.5, 0.0, 1.0))
+    with pytest.raises(ValueError, match="eps ball"):
+        attacks.craft(params, x, np.array([0, 1]), cfg)
 
 
 # --- Perturbation object / io --------------------------------------------------

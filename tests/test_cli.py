@@ -137,6 +137,62 @@ def test_attack_random_target_is_the_sweep_target(tiny_run):
         assert json.loads((out / "metrics.json").read_text())["target"] == targets[str(o)]
 
 
+def test_attack_reproduces_its_sweep_cell(tiny_run):
+    root, _, ds_dir, model_dir = tiny_run
+    weights = str(model_dir / "weights.viapnet")
+    cfg = root / "sweep-cells.json"
+    cfg.write_text(json.dumps({"sweep": {"gate_train": 0.0, "gate_test": 0.0}}))
+    seed, o = 2, 1
+    assert cli.main([
+        "sweep", "--config", str(cfg), "--dataset", str(ds_dir), "--weights", weights,
+        "--eps", "3", "--seed", str(seed), "--out", str(root / "s-cells"),
+    ]) == cli.EXIT_OK
+    report = json.loads((root / "s-cells" / "report.json").read_text())
+    ds = render.load_dataset(ds_dir)
+    pos = [p for p, i in enumerate(report["split_indices"]["test"]) if ds.object_ids[i] == o]
+    for family in attacks.FAMILIES:
+        out = root / f"atk-cell-{family}"
+        assert cli.main([
+            "attack", "--dataset", str(ds_dir), "--weights", weights, "--family", family,
+            "--eps", "3", "--seed", str(seed), "--object", str(o), "--out", str(out),
+        ]) == cli.EXIT_OK
+        cell = next(c for c in report["cells"]
+                    if (c["family"], c["eps"], c["split"]) == (family, 3.0, "test"))
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["test_tracked_softmax"] == np.mean([cell["values"][p] for p in pos]), family
+
+
+def test_attack_makes_one_kernel_call(tiny_run, kernel_calls):
+    root, _, ds_dir, model_dir = tiny_run
+    for family in attacks.FAMILIES:
+        before = len(kernel_calls)
+        assert cli.main([
+            "attack", "--dataset", str(ds_dir), "--weights", str(model_dir / "weights.viapnet"),
+            "--family", family, "--eps", "3", "--object", "2",
+            "--out", str(root / f"atk-calls-{family}"),
+        ]) == cli.EXIT_OK
+        assert len(kernel_calls) == before + 1, family
+        kernel, config, _, _ = kernel_calls[-1]
+        assert config.family == family
+        assert kernel == ("viap_arrays" if family in attacks.VIAP_FAMILIES else "bim_batch")
+
+
+def test_sweep_says_when_no_welch_test_ran(tiny_run, capsys):
+    root, _, ds_dir, model_dir = tiny_run
+    cfg = root / "sweep-no-ttest.json"
+    cfg.write_text(json.dumps({"sweep": {"gate_train": 0.0, "gate_test": 0.0, "iterations": 1}}))
+    for eps, said in (("0,3", True), ("0,5", False)):
+        out = root / f"s-ttest-{said}"
+        assert cli.main([
+            "sweep", "--config", str(cfg), "--dataset", str(ds_dir),
+            "--weights", str(model_dir / "weights.viapnet"), "--family", "viap,fgsm",
+            "--eps", eps, "--out", str(out),
+        ]) == cli.EXIT_OK
+        stdout = capsys.readouterr().out
+        assert ("no Welch t-tests: ttest_eps 5 is not on the eps grid" in stdout) == said
+        assert (out / "significance.csv").exists() != said
+
+
 def test_sweep_reduced_and_deterministic(tiny_run):
     root, _, ds_dir, model_dir = tiny_run
     cfg = root / "sweep.json"
@@ -273,6 +329,8 @@ def test_ill_typed_config_value_is_usage_error(tmp_path, capsys, command, cfg, k
     ({"sweep": {"iterations": None}}, [], "'iterations' takes int"),
     ({"seed": "abc"}, [], "'seed' takes int"),
     ({"sweep": {"iterations": 0, "families": ["fgsm"]}}, [], "iterations must be >= 1"),
+    ({"sweep": {"families": ["fgsm", "fgsm"]}}, [], "families repeats a value"),
+    ({"sweep": {"eps_grid": [0, 3, 3]}}, [], "eps_grid repeats a value"),
 ])
 def test_sweep_rejects_bad_settings_before_any_work(tmp_path, capsys, cfg, flags, message):
     path = tmp_path / "cfg.json"

@@ -153,19 +153,7 @@ def test_sweep_deterministic_and_jobs_invariant(tiny_dataset, victim):
             assert np.array_equal(ca.values, cb.values)
 
 
-def test_sweep_dispatches_each_family_to_its_kernel(tiny_dataset, victim, monkeypatch):
-    calls = []
-
-    def recorder(kernel):
-        real = getattr(attacks, kernel)
-
-        def record(params, images, labels, config, **kwargs):
-            calls.append((kernel, config, images.copy(), np.asarray(labels).copy()))
-            return real(params, images, labels, config, **kwargs)
-        return record
-
-    for kernel in ("bim_batch", "viap_arrays"):
-        monkeypatch.setattr(attacks, kernel, recorder(kernel))
+def test_sweep_dispatches_each_family_to_its_kernel(tiny_dataset, victim, kernel_calls):
     config = evaluate.SweepConfig(
         eps_grid=(0.0, 3.0, 5.0), iterations=2, gate_train=0.0, gate_test=0.0,
     )
@@ -174,7 +162,7 @@ def test_sweep_dispatches_each_family_to_its_kernel(tiny_dataset, victim, monkey
     ds = tiny_dataset
     train_views = {o: ds.indices("train", object_id=o) for o in ds.objects()}
     seen = []
-    for kernel, cfg, images, labels in calls:
+    for kernel, cfg, images, labels in kernel_calls:
         o = next(o for o, idx in train_views.items()
                  if np.array_equal(images, ds.images[idx]))
         seen.append((cfg.family, cfg.eps, o))

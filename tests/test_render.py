@@ -349,6 +349,8 @@ def test_views_too_few_rejected(monkeypatch):
         ({"classes": ("cube", "blob")}, "blob"),
         ({"classes": ()}, "classes"),
         ({"objects_per_class": 0}, "objects_per_class"),
+        ({"image_size": 0}, "image_size"),
+        ({"image_size": 3}, "image_size"),
     ):
         with pytest.raises(ValueError, match=message):
             render.generate_dataset(**{"objects_per_class": 1, "seed": 0, **bad})
