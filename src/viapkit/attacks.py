@@ -121,19 +121,34 @@ def loss_labels(config: AttackConfig, labels) -> np.ndarray:
     return np.full(labels.shape, int(config.target), dtype=np.int64)
 
 
+def clean_sign(params: nn.ModelParams, images: np.ndarray, loss_labels) -> np.ndarray:
+    """int8 sign of the loss gradient at the clean images: bim_batch's first step direction.
+
+    loss_labels are those loss_labels() returns. The sign does not depend on
+    eps, so one call serves every fgsm step and every bim first step on the
+    same stack and labels.
+    """
+    _, grad = nn.loss_and_input_grad(params, images, loss_labels)
+    return np.sign(grad).astype(np.int8)
+
+
 def bim_batch(
     params: nn.ModelParams,
     images: np.ndarray,
     labels,
     config: AttackConfig,
     trace=None,
+    *,
+    first_sign: np.ndarray | None = None,
 ) -> np.ndarray:
     """Iterated sign steps with per-iteration ball and range clipping, per image.
 
     The kernel of fgsm, fgsm-t, bim and bim-t; fgsm is one step of size eps.
     labels are the true labels; a targeted family reads its target from
     config. Each image in the stack evolves independently (sign() makes the
-    batch mean-loss scaling irrelevant).
+    batch mean-loss scaling irrelevant). first_sign, if given, is
+    clean_sign() of the same stack and loss labels and replaces the first
+    iteration's gradient call with the same bits.
 
     The budget accumulates in its own field rather than by clipping the
     position against the ball: the forms agree mathematically, but only this
@@ -141,15 +156,20 @@ def bim_batch(
     the range clamp is slack.
     """
     images = nn.as_f64(images)
+    if first_sign is not None and first_sign.shape != images.shape:
+        raise ValueError(f"first_sign shape {first_sign.shape} does not match images {images.shape}")
     y = loss_labels(config, labels)
     e = config.eps_unit
     step = config.step_unit
     sgn = -1.0 if targeted(config.family) else 1.0
     adv = images.copy()
     delta = np.zeros_like(images)
+    sign = first_sign
     for n in range(config.iterations):
-        _, grad = nn.loss_and_input_grad(params, adv, y)
-        delta = np.clip(delta + sgn * step * np.sign(grad), -e, e)
+        if n > 0 or sign is None:
+            _, grad = nn.loss_and_input_grad(params, adv, y)
+            sign = np.sign(grad)
+        delta = np.clip(delta + sgn * step * sign, -e, e)
         adv = np.clip(images + delta, 0.0, 1.0)
         if trace is not None:
             trace(n, adv)
@@ -189,12 +209,15 @@ def shared_gradient(
     """Batch loss and its gradient w.r.t. a noise field shared by all views.
 
     Because every view sees the same additive delta, d(loss)/d(delta) is the
-    sum over views of the per-view input gradients; one batched backward pass
-    computes it.
+    sum over views of the per-view input gradients (the shared-delta form of
+    expectation over transformation). The sum is taken before conv1's
+    input-grad, so one reduced backward pass computes it.
     """
-    images = nn.as_f64(images)
-    loss, grad = nn.loss_and_input_grad(params, images, labels)
-    return loss, grad.sum(axis=0)
+    graph = nn.forward_graph(params, images)
+    loss, dlogits = nn.loss_and_dlogits(graph, labels)
+    grad, _ = graph.backward(dlogits, sum_input=True)
+    nn.require_finite("input gradient", grad)
+    return loss, grad[0]
 
 
 def viap_arrays(
@@ -237,18 +260,20 @@ def viap_arrays(
 
 
 def craft(
-    params: nn.ModelParams, images: np.ndarray, labels, config: AttackConfig
+    params: nn.ModelParams, images: np.ndarray, labels, config: AttackConfig,
+    *, first_sign: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Attack a stack of one object's views; returns (adv_views, delta).
 
     delta carries the attack to unseen views: viap's shared delta, or the
     per-image families' mean noise (a mean of eps-ball noises stays in the ball).
+    first_sign is passed on to bim_batch; the viap families do not use it.
     """
     if config.family in VIAP_FAMILIES:
         delta = viap_arrays(params, images, labels, config)
         adv_views = apply_delta(delta, images)
     else:
-        adv_views = bim_batch(params, images, labels, config)
+        adv_views = bim_batch(params, images, labels, config, first_sign=first_sign)
         delta = (adv_views - images).mean(axis=0)
     _check_in_ball(delta, config)
     return adv_views, delta

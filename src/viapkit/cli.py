@@ -255,10 +255,10 @@ def cmd_attack(args) -> int:
     tracked_label = target if attacks.targeted(family) else true_label
     metrics = {"family": family, "eps": eps, "object": o, "true_label": true_label,
                "target": target, "final_loss": pert.final_loss}
-    for split, idx in (("train", tr), ("test", te)):
+    # the train split scores the crafted views, as final_loss and the sweep's train cell do
+    for split, idx, adv_split in (("train", tr, adv), ("test", te, pert.apply(ds.images[te]))):
         if len(idx) == 0:
             continue
-        adv_split = pert.apply(ds.images[idx])
         logits = nn.forward(params, adv_split)
         probs = nn.softmax(logits)
         metrics[f"{split}_tracked_softmax"] = float(probs[:, tracked_label].mean())

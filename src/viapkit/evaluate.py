@@ -269,8 +269,10 @@ def confidence_sweep(
     Per object: attacks.craft attacks its training views, and the delta it
     returns (viap's shared delta, or the per-image families' mean training
     noise) is applied to its test views. eps = 0 short-circuits to clean
-    images for every family. Objects are independent, so crafting may run on
-    a thread pool (config.jobs) without changing any output bit.
+    images for every family. The per-image families share one clean-view
+    gradient sign per object and direction (attacks.clean_sign). Objects are
+    independent, so crafting may run on a thread pool (config.jobs) without
+    changing any output bit.
     """
     train_idx = dataset.indices("train")
     test_idx = dataset.indices("test")
@@ -313,13 +315,27 @@ def confidence_sweep(
     for p in sample_pos:
         result.samples_clean[int(test_idx[p])] = x_te[p].copy()
 
+    # fgsm's step and bim's first step take the sign of the gradient at the
+    # clean training views, the same at every eps: one call per object and
+    # direction (untargeted / targeted) serves them all
+    directions = {attacks.targeted(f) for f in config.families if f not in attacks.VIAP_FAMILIES}
+    clean_signs = {
+        (o, tgt): attacks.clean_sign(
+            params, x_tr[tr_pos[o]], np.full(len(tr_pos[o]), targets[o]) if tgt else y_tr[tr_pos[o]]
+        )
+        for o in objects for tgt in directions if max(config.eps_grid) > 0
+    }
+
     def craft_object(family, eps, o, adv_tr, adv_te):
         pos_t, pos_e = tr_pos[o], te_pos[o]
         cfg = config.attack_config(
             family, eps, target=targets[o] if attacks.targeted(family) else None,
             seed=attack_seed(config.seed, family, eps, o),
         )
-        adv_tr[pos_t], delta = attacks.craft(params, x_tr[pos_t], y_tr[pos_t], cfg)
+        adv_tr[pos_t], delta = attacks.craft(
+            params, x_tr[pos_t], y_tr[pos_t], cfg,
+            first_sign=clean_signs.get((o, attacks.targeted(family))),
+        )
         adv_te[pos_e] = attacks.apply_delta(delta, x_te[pos_e])
 
     for family in config.families:

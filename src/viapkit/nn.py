@@ -5,6 +5,11 @@ frozen: conv 3x3 (C->8, zero-padded) -> relu -> maxpool 2x2 -> conv 3x3
 (8->16) -> relu -> maxpool 2x2 -> dense(K). Keeping the architecture fixed
 lets the backward pass stay small enough to verify against finite
 differences coordinate by coordinate.
+
+Each relu -> maxpool pair runs as one maxpool2 call that pools first and
+applies relu to the 4x smaller pooled array; relu is monotone, so the values
+and routes are those of pooling the relu output, bit for bit. Every zero the
+network pools is +0.0, even where a conv output is -0.0.
 """
 
 from __future__ import annotations
@@ -78,28 +83,32 @@ def conv2d_param_grad(x: np.ndarray, dy: np.ndarray, cout: int) -> tuple[np.ndar
     return dw, db
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def _quadrants(x: np.ndarray) -> list[np.ndarray]:
     """Views of window positions (0,0), (0,1), (1,0), (1,1), cropped to even H, W."""
     h2, w2 = x.shape[1] // 2 * 2, x.shape[2] // 2 * 2
     return [x[:, r:h2:2, s:w2:2] for r in (0, 1) for s in (0, 1)]
 
 
-def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 max pooling with stride 2; trailing odd row/col is dropped.
+def maxpool2(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """relu, then 2x2 max pooling with stride 2; trailing odd row/col is dropped.
 
-    Returns (pooled, route) where route is an int8 array holding the window
-    position (0..3, in the order of _quadrants) each maximum came from. The
-    first maximum wins ties, as for argmax. The input is a relu output, which
-    holds no -0.0; on a -0.0/+0.0 tie the pooled zero's sign follows np.maximum.
+    Pools z first and applies relu to the pooled array, which gives the values
+    of pooling relu(z). Returns (pooled, route) where route is an int8 array
+    holding the window position (0..3, in the order of _quadrants) each
+    maximum came from; the first maximum wins ties, as for argmax. A window
+    with no positive value pools to +0.0 (np.maximum returns its second
+    operand on a tie, so a -0.0 maximum gives +0.0 too) and routes to 0,
+    where argmax puts relu(z)'s all-zero window.
     """
-    q = _quadrants(x)
+    q = _quadrants(z)
     out = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
-    route = np.where(q[0] == out, 0, np.where(q[1] == out, 1, np.where(q[2] == out, 2, 3)))
-    return out, route.astype(np.int8)
+    # route = number of leading window positions that miss the maximum
+    miss = (q[0] != out) & (out > 0.0)
+    route = miss.astype(np.int8)
+    for k in (1, 2):
+        miss &= q[k] != out
+        route += miss
+    return np.maximum(out, 0.0, out=out), route
 
 
 def maxpool2_input_grad(dy: np.ndarray, route: np.ndarray, x_shape: tuple) -> np.ndarray:
@@ -209,23 +218,33 @@ class Graph:
     """Recorded intermediates of one forward pass, consumed by backward().
 
     Valid only for the batch it was recorded from; replaying the same batch
-    reproduces every stored array bit for bit.
+    reproduces every stored array bit for bit. The conv outputs z1, z2 are
+    not kept: backward needs only their shapes, because a pooled output is
+    positive exactly where relu passes the gradient at its route.
     """
 
     params: ModelParams
     x: np.ndarray
-    z1: np.ndarray
+    z1_shape: tuple
     i1: np.ndarray
     p1: np.ndarray
-    z2: np.ndarray
+    z2_shape: tuple
     i2: np.ndarray
     p2: np.ndarray
     logits: np.ndarray
 
     def backward(
-        self, dlogits: np.ndarray, need_input: bool = True, need_params: bool = False
+        self, dlogits: np.ndarray, need_input: bool = True, need_params: bool = False,
+        sum_input: bool = False,
     ) -> tuple[np.ndarray | None, ParamGrads | None]:
-        """Backpropagate dlogits; returns (input grad, param grads)."""
+        """Backpropagate dlogits; returns (input grad, param grads).
+
+        With sum_input the input grad is summed over the batch into one
+        (1, H, W, C) array: conv1's input-grad is linear, so it runs once on
+        the batch sum of its output grads. The summation order differs from
+        summing per-example input grads, so the two agree to rounding, and
+        bit for bit on a batch of one.
+        """
         if dlogits.shape != self.logits.shape:
             raise ValueError("dlogits shape does not match the recorded forward pass")
         p = self.params
@@ -234,13 +253,13 @@ class Graph:
 
         dflat = dlogits @ p.dense_w.T
         dp2 = dflat.reshape(self.p2.shape)
-        da2 = maxpool2_input_grad(dp2, self.i2, self.z2.shape)
-        dz2 = da2 * (self.z2 > 0.0)
+        dz2 = maxpool2_input_grad(dp2 * (self.p2 > 0.0), self.i2, self.z2_shape)
         dp1 = conv2d_input_grad(dz2, p.conv2_w)
-        da1 = maxpool2_input_grad(dp1, self.i1, self.z1.shape)
-        dz1 = da1 * (self.z1 > 0.0)
+        dz1 = maxpool2_input_grad(dp1 * (self.p1 > 0.0), self.i1, self.z1_shape)
 
-        dx = conv2d_input_grad(dz1, p.conv1_w) if need_input else None
+        dx = None
+        if need_input:
+            dx = conv2d_input_grad(dz1.sum(axis=0, keepdims=True) if sum_input else dz1, p.conv1_w)
 
         grads = None
         if need_params:
@@ -276,12 +295,13 @@ def forward_graph(params: ModelParams, batch: np.ndarray) -> Graph:
     """Run the network and record every intermediate needed by backward."""
     x = _check_batch(params, batch)
     z1 = conv2d(x, params.conv1_w, params.conv1_b)
-    p1, i1 = maxpool2(relu(z1))
+    p1, i1 = maxpool2(z1)
     z2 = conv2d(p1, params.conv2_w, params.conv2_b)
-    p2, i2 = maxpool2(relu(z2))
+    p2, i2 = maxpool2(z2)
     logits = dense(p2.reshape(x.shape[0], -1), params.dense_w, params.dense_b)
     require_finite("logits", logits)
-    return Graph(params=params, x=x, z1=z1, i1=i1, p1=p1, z2=z2, i2=i2, p2=p2, logits=logits)
+    return Graph(params=params, x=x, z1_shape=z1.shape, i1=i1, p1=p1,
+                 z2_shape=z2.shape, i2=i2, p2=p2, logits=logits)
 
 
 # Most rows per forward_graph call in forward(). Inference needs no recorded
@@ -315,16 +335,22 @@ def _check_labels(labels, batch_size: int, classes: int) -> np.ndarray:
     return labels
 
 
+def loss_and_dlogits(graph: Graph, labels) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of a recorded forward pass and its gradient w.r.t. the logits."""
+    labels = _check_labels(labels, graph.x.shape[0], graph.params.classes)
+    loss, probs = softmax_cross_entropy(graph.logits, labels)
+    dlogits = probs.copy()
+    dlogits[np.arange(len(labels)), labels] -= 1.0
+    dlogits /= len(labels)
+    return loss, dlogits
+
+
 def loss_and_input_grad(
     params: ModelParams, batch: np.ndarray, labels
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient w.r.t. the pixels."""
     graph = forward_graph(params, batch)
-    labels = _check_labels(labels, graph.x.shape[0], params.classes)
-    loss, probs = softmax_cross_entropy(graph.logits, labels)
-    dlogits = probs.copy()
-    dlogits[np.arange(len(labels)), labels] -= 1.0
-    dlogits /= len(labels)
+    loss, dlogits = loss_and_dlogits(graph, labels)
     grad, _ = graph.backward(dlogits, need_input=True, need_params=False)
     require_finite("input gradient", grad)
     return loss, grad
@@ -335,11 +361,7 @@ def loss_and_param_grad(
 ) -> tuple[float, ParamGrads]:
     """Mean cross-entropy and its gradients w.r.t. every weight tensor."""
     graph = forward_graph(params, batch)
-    labels = _check_labels(labels, graph.x.shape[0], params.classes)
-    loss, probs = softmax_cross_entropy(graph.logits, labels)
-    dlogits = probs.copy()
-    dlogits[np.arange(len(labels)), labels] -= 1.0
-    dlogits /= len(labels)
+    loss, dlogits = loss_and_dlogits(graph, labels)
     _, grads = graph.backward(dlogits, need_input=False, need_params=True)
     for f in fields(grads):
         require_finite(f.name, getattr(grads, f.name))

@@ -81,7 +81,7 @@ def _pool_gap(z: np.ndarray) -> float:
 def margins(params: nn.ModelParams, x: np.ndarray) -> tuple[float, float]:
     """(min |relu input|, min pool gap) across both conv stages."""
     z1 = nn.conv2d(x, params.conv1_w, params.conv1_b)
-    p1, _ = nn.maxpool2(nn.relu(z1))
+    p1, _ = maxpool2_reference(relu(z1))
     z2 = nn.conv2d(p1, params.conv2_w, params.conv2_b)
     zmin = min(float(np.abs(z1).min()), float(np.abs(z2).min()))
     return zmin, min(_pool_gap(z1), _pool_gap(z2))
@@ -124,7 +124,12 @@ def safe_config(seed: int, max_attempts: int = 200):
 
 # --- reference layer kernels -----------------------------------------------
 # The argmax pool and the np.pad im2col the package used before its slice-based
-# kernels; the package's kernels must match these bit for bit.
+# kernels, and the full-resolution relu and relu mask it used before pooling
+# first; the package's kernels must match these bit for bit.
+
+def relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
+
 
 def patches_reference(x: np.ndarray) -> np.ndarray:
     """3x3 zero-padded patch matrix (B, H, W, 9*C), columns (row, col, channel)."""
@@ -161,6 +166,41 @@ def maxpool2_input_grad_reference(dy: np.ndarray, idx: np.ndarray, x_shape: tupl
         .reshape(b, h2 * 2, w2 * 2, c)
     )
     return dx
+
+
+def graph_reference(params: nn.ModelParams, x: np.ndarray, dlogits: np.ndarray) -> list:
+    """[logits, p1, p2, input grad, *param grads] by the full-resolution path.
+
+    Forward pools relu(z) with the argmax pool; backward scatters each pooled
+    gradient back to full resolution and multiplies it by the relu mask
+    (z > 0). Convolutions use the np.pad im2col.
+    """
+    def conv(a, w, b=None):
+        out = patches_reference(a) @ w.reshape(-1, w.shape[-1])
+        return out if b is None else out + b
+
+    def conv_input_grad(dy, w):
+        return conv(dy, np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2)))
+
+    def conv_param_grad(a, dy):
+        dw = np.tensordot(patches_reference(a), dy, axes=([0, 1, 2], [0, 1, 2]))
+        return dw.reshape(3, 3, a.shape[-1], dy.shape[-1]), dy.sum(axis=(0, 1, 2))
+
+    z1 = conv(x, params.conv1_w, params.conv1_b)
+    p1, i1 = maxpool2_reference(relu(z1))
+    z2 = conv(p1, params.conv2_w, params.conv2_b)
+    p2, i2 = maxpool2_reference(relu(z2))
+    flat = p2.reshape(x.shape[0], -1)
+    logits = flat @ params.dense_w + params.dense_b
+
+    dp2 = (dlogits @ params.dense_w.T).reshape(p2.shape)
+    dz2 = maxpool2_input_grad_reference(dp2, i2, z2.shape) * (z2 > 0.0)
+    dp1 = conv_input_grad(dz2, params.conv2_w)
+    dz1 = maxpool2_input_grad_reference(dp1, i1, z1.shape) * (z1 > 0.0)
+    dw1, db1 = conv_param_grad(x, dz1)
+    dw2, db2 = conv_param_grad(p1, dz2)
+    return [logits, p1, p2, conv_input_grad(dz1, params.conv1_w),
+            dw1, db1, dw2, db2, flat.T @ dlogits, dlogits.sum(axis=0)]
 
 
 # --- reference rasterizer ---------------------------------------------------

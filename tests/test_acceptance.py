@@ -207,8 +207,14 @@ def test_criterion_04_bim1_equals_fgsm_and_viap_tracks_bim(pipeline):
         for n in range(iters):
             _, g = nn.loss_and_input_grad(params, positions[n], y1)
             assert np.array_equal(v_dirs[n], np.sign(g[0])), f"direction differs at iter {n}"
+            # on one view, the reduced (view-summed) backward viap steps on is
+            # the plain backward, signs of zeros included
+            graph = nn.forward_graph(params, positions[n])
+            _, dlogits = nn.loss_and_dlogits(graph, y1)
+            summed, _ = graph.backward(dlogits, sum_input=True)
+            assert np.array_equal(summed, g) and np.array_equal(np.signbit(summed), np.signbit(g))
     _ok("04 reductions (fgsm, fgsm-t, bim(1) = closed-form fgsm bit-exact x100; "
-        "viap directions = bim x4 views)")
+        "viap directions = bim x4 views; single-view summed backward = plain)")
 
 
 # ---------------------------------------------------------------------------

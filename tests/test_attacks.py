@@ -310,7 +310,7 @@ def test_craft_rejects_a_delta_outside_the_ball(rng, monkeypatch):
     with pytest.raises(ValueError, match="eps ball"):
         attacks.craft(params, x, np.array([0, 1]), cfg)
     cfg = attacks.AttackConfig("bim", 2.0, iterations=1)
-    monkeypatch.setattr(attacks, "bim_batch", lambda *args: np.clip(x + 0.5, 0.0, 1.0))
+    monkeypatch.setattr(attacks, "bim_batch", lambda *args, **kw: np.clip(x + 0.5, 0.0, 1.0))
     with pytest.raises(ValueError, match="eps ball"):
         attacks.craft(params, x, np.array([0, 1]), cfg)
 

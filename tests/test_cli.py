@@ -149,17 +149,22 @@ def test_attack_reproduces_its_sweep_cell(tiny_run):
     ]) == cli.EXIT_OK
     report = json.loads((root / "s-cells" / "report.json").read_text())
     ds = render.load_dataset(ds_dir)
-    pos = [p for p, i in enumerate(report["split_indices"]["test"]) if ds.object_ids[i] == o]
+    positions = {
+        split: [p for p, i in enumerate(report["split_indices"][split]) if ds.object_ids[i] == o]
+        for split in ("train", "test")
+    }
     for family in attacks.FAMILIES:
         out = root / f"atk-cell-{family}"
         assert cli.main([
             "attack", "--dataset", str(ds_dir), "--weights", weights, "--family", family,
             "--eps", "3", "--seed", str(seed), "--object", str(o), "--out", str(out),
         ]) == cli.EXIT_OK
-        cell = next(c for c in report["cells"]
-                    if (c["family"], c["eps"], c["split"]) == (family, 3.0, "test"))
         metrics = json.loads((out / "metrics.json").read_text())
-        assert metrics["test_tracked_softmax"] == np.mean([cell["values"][p] for p in pos]), family
+        for split, pos in positions.items():
+            cell = next(c for c in report["cells"]
+                        if (c["family"], c["eps"], c["split"]) == (family, 3.0, split))
+            want = np.mean([cell["values"][p] for p in pos])
+            assert metrics[f"{split}_tracked_softmax"] == want, (family, split)
 
 
 def test_attack_makes_one_kernel_call(tiny_run, kernel_calls):

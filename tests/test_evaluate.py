@@ -178,6 +178,60 @@ def test_sweep_dispatches_each_family_to_its_kernel(tiny_dataset, victim, kernel
     assert sorted(seen) == sorted(expected)
 
 
+def test_shared_clean_sign_leaves_every_cell_unchanged(tiny_dataset, victim, monkeypatch):
+    # fgsm's step and bim's first step reuse one clean-view sign per object
+    # and direction; crafting each object without it must give the same bits
+    config = evaluate.SweepConfig(
+        eps_grid=(0.0, 0.5, 3.0, 50.0), families=("fgsm", "fgsm-t", "bim", "bim-t"), iterations=3,
+        gate_train=0.0, gate_test=0.0,
+    )
+    real_craft = attacks.craft
+    shared_signs = []
+
+    def craft(*args, first_sign=None):
+        shared_signs.append(first_sign is not None)
+        return real_craft(*args)
+
+    shared = evaluate.confidence_sweep(victim, tiny_dataset, config=config)
+    monkeypatch.setattr(attacks, "craft", craft)
+    plain = evaluate.confidence_sweep(victim, tiny_dataset, config=config)
+    assert shared_signs and all(shared_signs)
+    assert len(shared.cells) == len(plain.cells)
+    for a, b in zip(shared.cells, plain.cells):
+        assert (a.family, a.eps, a.split, a.mean, a.std) == (b.family, b.eps, b.split, b.mean, b.std)
+        for f in ("values", "correct", "hits_target"):
+            assert np.array_equal(getattr(a, f), getattr(b, f)), (a.family, a.eps, a.split, f)
+    assert shared.samples.keys() == plain.samples.keys()
+    for key, img in shared.samples.items():
+        assert np.array_equal(img, plain.samples[key]), key
+
+
+@pytest.mark.parametrize("families", [attacks.FAMILIES, ("fgsm",), ("viap", "bim-t"), ("viap-t",)])
+def test_sweep_gradient_call_count(tiny_dataset, victim, monkeypatch, families):
+    # per object and eps > 0: N backward passes per viap family, N - 1 per bim
+    # family (the first step reuses the clean sign), none for fgsm; plus one
+    # clean-view pass per object and direction the per-image families use
+    real_backward = nn.Graph.backward
+    calls = []
+
+    def backward(self, *args, **kwargs):
+        calls.append(self.x.shape[0])
+        return real_backward(self, *args, **kwargs)
+
+    monkeypatch.setattr(nn.Graph, "backward", backward)
+    n, eps_grid = 3, (0.0, 3.0, 5.0)
+    config = evaluate.SweepConfig(
+        eps_grid=eps_grid, families=families, iterations=n, gate_train=0.0, gate_test=0.0,
+    )
+    evaluate.confidence_sweep(victim, tiny_dataset, config=config)
+
+    per_family = {"fgsm": 0, "fgsm-t": 0, "bim": n - 1, "bim-t": n - 1, "viap": n, "viap-t": n}
+    directions = {attacks.targeted(f) for f in families if f not in attacks.VIAP_FAMILIES}
+    positive = sum(e > 0 for e in eps_grid)
+    per_object = positive * sum(per_family[f] for f in families) + len(directions)
+    assert len(calls) == len(tiny_dataset.objects()) * per_object
+
+
 def test_sweep_gate_failure(tiny_dataset):
     untrained = train.init_params(0)
     with pytest.raises(evaluate.GateFailure) as err:

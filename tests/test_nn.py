@@ -222,25 +222,24 @@ KERNEL_SHAPES = [(1, 9, 11, 3), (7, 13, 32, 8), (112, 16, 15, 16)]
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
 def test_pool_matches_argmax_reference(rng, shape):
-    x = tied_batch(rng, shape)
-    relu_x = nn.relu(x)
-    # the network pools relu outputs, which hold no -0.0; on raw input a
-    # -0.0/+0.0 tie may pool to either sign, so only values are compared there
-    assert not np.signbit(relu_x).any()
-    for inp in (x, relu_x):
+    # maxpool2 pools z and applies relu to the pooled array; values, signs and
+    # routes must be those of the argmax pool of relu(z)
+    z = tied_batch(rng, shape)
+    raw_max, _ = oracles.maxpool2_reference(z)
+    assert (raw_max < 0.0).any() and (np.signbit(raw_max) & (raw_max == 0.0)).any()
+    ref_out, ref_idx = oracles.maxpool2_reference(oracles.relu(z))
+    for inp in (z, oracles.relu(z)):
         out, route = nn.maxpool2(inp)
-        ref_out, ref_idx = oracles.maxpool2_reference(inp)
         assert route.dtype == np.int8
-        assert np.array_equal(out, ref_out)
+        assert_same_bits(out, ref_out)
         assert np.array_equal(route, ref_idx)
-        if inp is relu_x:
-            assert_same_bits(out, ref_out)
-        dy = rng.standard_normal(out.shape)
-        dy[::2] = -0.0
-        assert_same_bits(
-            nn.maxpool2_input_grad(dy, route, shape),
-            oracles.maxpool2_input_grad_reference(dy, ref_idx, shape),
-        )
+        assert not np.signbit(out).any()
+    dy = rng.standard_normal(out.shape)
+    dy[::2] = -0.0
+    assert_same_bits(
+        nn.maxpool2_input_grad(dy, route, shape),
+        oracles.maxpool2_input_grad_reference(dy, ref_idx, shape),
+    )
 
 
 def test_pool_ties_route_to_the_first_maximum():
@@ -260,13 +259,16 @@ def test_patches_match_pad_reference(rng, shape):
 
 
 @pytest.mark.parametrize("batch,hw", [(1, (9, 11)), (7, (32, 32)), (112, (13, 32))])
-def test_graph_matches_reference_kernels(rng, monkeypatch, batch, hw):
+def test_graph_matches_reference_kernels(rng, batch, hw):
+    # pooled relu and the pooled relu mask against the full-resolution path
     h, w = hw
     feat = (h // 4) * (w // 4) * nn.CONV2_CHANNELS
     u = lambda *s: rng.uniform(-0.5, 0.5, size=s)
+    conv1_b = u(nn.CONV1_CHANNELS) - 0.3
+    conv1_b[::2] = 0.0  # exact-zero conv outputs, ties at the relu kink, where a patch is all zero
     params = nn.ModelParams(
         h, w, 3, 4,
-        conv1_w=u(3, 3, 3, nn.CONV1_CHANNELS), conv1_b=u(nn.CONV1_CHANNELS) - 0.3,
+        conv1_w=u(3, 3, 3, nn.CONV1_CHANNELS), conv1_b=conv1_b,
         conv2_w=u(3, 3, nn.CONV1_CHANNELS, nn.CONV2_CHANNELS), conv2_b=u(nn.CONV2_CHANNELS) - 0.3,
         dense_w=u(feat, 4), dense_b=u(4),
     )
@@ -275,18 +277,29 @@ def test_graph_matches_reference_kernels(rng, monkeypatch, batch, hw):
     x[1::3, : h // 2] = 0.0
     labels = rng.integers(0, 4, size=batch)
 
-    def run():
-        graph = nn.forward_graph(params, x)
-        dlogits = nn.softmax(graph.logits) - np.eye(4)[labels]
-        dx, grads = graph.backward(dlogits, need_input=True, need_params=True)
-        return [graph.logits, graph.p1, graph.p2, dx] + [getattr(grads, f) for f in nn.PARAM_FIELDS]
-
-    new = run()
-    monkeypatch.setattr(nn, "_patches", oracles.patches_reference)
-    monkeypatch.setattr(nn, "maxpool2", oracles.maxpool2_reference)
-    monkeypatch.setattr(nn, "maxpool2_input_grad", oracles.maxpool2_input_grad_reference)
-    for a, b in zip(new, run()):
+    graph = nn.forward_graph(params, x)
+    dlogits = nn.softmax(graph.logits) - np.eye(4)[labels]
+    dx, grads = graph.backward(dlogits, need_input=True, need_params=True)
+    new = [graph.logits, graph.p1, graph.p2, dx] + [getattr(grads, f) for f in nn.PARAM_FIELDS]
+    for a, b in zip(new, oracles.graph_reference(params, x, dlogits)):
         assert_same_bits(a, b)
+    # the batch holds windows with no positive value at both pools
+    assert (graph.p1 == 0.0).any() and (graph.p2 == 0.0).any()
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_summed_backward_is_the_sum_of_input_grads(rng, batch):
+    params = rand_params(rng)
+    x = rng.uniform(0, 1, size=(batch, 8, 8, 3))
+    graph = nn.forward_graph(params, x)
+    _, dlogits = nn.loss_and_dlogits(graph, rng.integers(0, 4, size=batch))
+    plain, _ = graph.backward(dlogits)
+    summed, _ = graph.backward(dlogits, sum_input=True)
+    assert summed.shape == (1, 8, 8, 3)
+    if batch == 1:
+        assert_same_bits(summed, plain)
+    else:
+        assert np.allclose(summed[0], plain.sum(axis=0), rtol=0.0, atol=1e-15)
 
 
 # --- serialization ----------------------------------------------------------
