@@ -15,7 +15,8 @@ from viapkit import train as train_mod
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--iters", type=int, default=20)
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--jobs", type=int, default=None,
+                    help="threads crafting objects at once (default: every core)")
     ap.add_argument("--out", default="demo_out/sweep")
     args = ap.parse_args()
 
@@ -24,8 +25,8 @@ def main():
     params, _ = train_mod.train(train_mod.init_params(0), ds.images[tr], ds.labels[tr],
                                 train_mod.TrainConfig(), val=(ds.images[te], ds.labels[te]))
 
-    cfg = evaluate.SweepConfig(iterations=args.iters, jobs=args.jobs)
-    result = evaluate.confidence_sweep(params, ds, config=cfg)
+    cfg = evaluate.SweepConfig(iterations=args.iters)
+    result = evaluate.confidence_sweep(params, ds, config=cfg, jobs=args.jobs)
     print(f"clean: train acc {result.clean['train_acc']:.4f}, "
           f"test acc {result.clean['test_acc']:.4f}\n")
 

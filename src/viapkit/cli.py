@@ -4,7 +4,8 @@ Every subcommand resolves its configuration from defaults <- JSON config
 file <- explicit flags (flags win), prints the resolved config, and writes
 it verbatim as config.json into the output directory. Nothing here reads
 wall-clock time or any other ambient randomness, so a fixed config + seed
-reproduces every output byte.
+reproduces every output byte. sweep's --jobs (how many threads craft) is
+not a config key: no output byte depends on it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_GATE = 3
+# the reader closed standard output (say, `| head -1`): the status a shell
+# reports for a process that SIGPIPE ends, 128 + 13
+EXIT_PIPE = 141
 
 # Each command's defaults are the keyword defaults of what reads them.
 DEFAULT_DATASET_CFG = {
@@ -282,7 +286,7 @@ def cmd_sweep(args) -> int:
     sweep_cfg = _merge(
         DEFAULT_SWEEP_CFG, SETTING_TYPES["sweep"], file_cfg.get("sweep", {}),
         {
-            "eps_grid": args.eps, "iterations": args.iters, "jobs": args.jobs,
+            "eps_grid": args.eps, "iterations": args.iters,
             "families": args.family.split(",") if args.family else None,
             "literal_eq_step": True if args.literal_eq_step else None,
         },
@@ -294,6 +298,7 @@ def cmd_sweep(args) -> int:
     # a bad train or sweep setting fails here, before any rendering or training
     scfg = evaluate.SweepConfig(**sweep_cfg, seed=seed)
     tcfg = train_mod.TrainConfig(**train_cfg)
+    jobs = evaluate.resolve_jobs(args.jobs)
 
     if args.dataset:
         ds = render.load_dataset(args.dataset)
@@ -305,7 +310,7 @@ def cmd_sweep(args) -> int:
     else:
         params = _train_and_save(tcfg, _splits(ds), ds.n_classes, os.path.join(out, "model"))
 
-    result = evaluate.confidence_sweep(params, ds, config=scfg)
+    result = evaluate.confidence_sweep(params, ds, config=scfg, jobs=jobs)
     files = evaluate.emit_report(result, result.ttests, out)
 
     print(f"clean gate: train acc {result.clean['train_acc']:.4f}, "
@@ -449,7 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None, help="comma list restricting families")
     p.add_argument("--eps", type=_parse_eps, default=None, help="comma list, 0-255 scale")
     p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None, help="worker threads for crafting")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="threads crafting objects at once (default: every core)")
     p.add_argument("--literal-eq-step", action="store_true")
 
     p = sub.add_parser("verify", help="run the invariant suite")
@@ -467,7 +473,16 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stop quietly; what is left in stdout's buffer goes to /dev/null, so
+        # the interpreter's last flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except evaluate.GateFailure as exc:
         print(json.dumps({"error": "gate-failure", "message": str(exc), "diag": exc.diag},
                          sort_keys=True), file=sys.stderr)

@@ -9,17 +9,20 @@ label (lower = stronger attack); targeted cells track the target label
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from viapkit import attacks, nn, train
 from viapkit.attacks import AttackConfig, FAMILIES, SINGLE_STEP_FAMILIES
-from viapkit.render import Dataset, write_ppm
+from viapkit.render import Dataset, ppm_pixels, write_ppm
 
 DEFAULT_EPS_GRID = (0.0, 0.5, 1.0, 3.0, 5.0, 10.0, 15.0, 30.0, 50.0)
 
@@ -147,7 +150,6 @@ class SweepConfig:
     ttest_eps: float = 5.0
     gate_train: float = 0.95
     gate_test: float = 0.90
-    jobs: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "eps_grid", tuple(self.eps_grid))
@@ -157,8 +159,6 @@ class SweepConfig:
         for name, values in (("eps_grid", self.eps_grid), ("families", self.families)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats a value: {list(values)}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         # each family's attack settings, at the grid's largest eps so that the
         # step checks run whenever any eps is positive; bim also checks the
         # iteration count that single-step families ignore
@@ -212,8 +212,8 @@ class SweepResult:
     cells: list = field(default_factory=list)
     ttests: list = field(default_factory=list)
     split_indices: dict = field(default_factory=dict)
-    samples: dict = field(default_factory=dict)        # (family, eps, view idx) -> image
-    samples_clean: dict = field(default_factory=dict)  # view idx -> image
+    samples: dict = field(default_factory=dict)        # (family, eps, view idx) -> pixels
+    samples_clean: dict = field(default_factory=dict)  # view idx -> pixels
 
     def cell(self, family: str, eps: float, split: str) -> Cell:
         for c in self.cells:
@@ -261,8 +261,52 @@ def _make_cell(params, family, eps, split, images, labels, targets_pv) -> Cell:
     )
 
 
+def resolve_jobs(jobs: int | None) -> int:
+    """The threads a sweep crafts on; None means every core this process may use."""
+    if jobs is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1; got {jobs}")
+    return jobs
+
+
+def _share(pool: ThreadPoolExecutor, helpers: int, work, items) -> None:
+    """Run work(item) for every item on this thread and on `helpers` pool threads.
+
+    All of them take items from one list under a lock. An exception empties
+    the list, so the other threads stop after their current item, and it
+    reaches the caller unchanged once every thread has stopped.
+    """
+    todo = list(reversed(items))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                if not todo:
+                    return
+                item = todo.pop()
+            try:
+                work(item)
+            except BaseException:
+                with lock:
+                    todo.clear()
+                raise
+
+    futures = [pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
 def confidence_sweep(
-    params: nn.ModelParams, dataset: Dataset, config: SweepConfig = SweepConfig()
+    params: nn.ModelParams, dataset: Dataset, config: SweepConfig = SweepConfig(),
+    jobs: int | None = None,
 ) -> SweepResult:
     """Craft-on-train / score-on-both sweep over every (family, eps) cell.
 
@@ -270,10 +314,13 @@ def confidence_sweep(
     returns (viap's shared delta, or the per-image families' mean training
     noise) is applied to its test views. eps = 0 short-circuits to clean
     images for every family. The per-image families share one clean-view
-    gradient sign per object and direction (attacks.clean_sign). Objects are
-    independent, so crafting may run on a thread pool (config.jobs) without
-    changing any output bit.
+    gradient sign per object and direction (attacks.clean_sign).
+
+    Objects are independent, so each (family, eps) crafts them on `jobs`
+    threads (resolve_jobs; at most one per object): this one and jobs - 1
+    helpers of one pool per sweep. Every output bit is the same for any jobs.
     """
+    jobs = resolve_jobs(jobs)
     train_idx = dataset.indices("train")
     test_idx = dataset.indices("test")
     x_tr, y_tr = dataset.images[train_idx], dataset.labels[train_idx]
@@ -313,7 +360,7 @@ def confidence_sweep(
         split_indices={"train": train_idx.tolist(), "test": test_idx.tolist()},
     )
     for p in sample_pos:
-        result.samples_clean[int(test_idx[p])] = x_te[p].copy()
+        result.samples_clean[int(test_idx[p])] = ppm_pixels(x_te[p])
 
     # fgsm's step and bim's first step take the sign of the gradient at the
     # clean training views, the same at every eps: one call per object and
@@ -326,7 +373,11 @@ def confidence_sweep(
         for o in objects for tgt in directions if max(config.eps_grid) > 0
     }
 
-    def craft_object(family, eps, o, adv_tr, adv_te):
+    # the objects partition both splits, so every (family, eps > 0) writes
+    # every row of one buffer pair
+    adv_tr, adv_te = np.empty_like(x_tr), np.empty_like(x_te)
+
+    def craft_object(family, eps, o):
         pos_t, pos_e = tr_pos[o], te_pos[o]
         cfg = config.attack_config(
             family, eps, target=targets[o] if attacks.targeted(family) else None,
@@ -338,29 +389,18 @@ def confidence_sweep(
         )
         adv_te[pos_e] = attacks.apply_delta(delta, x_te[pos_e])
 
-    for family in config.families:
-        for eps in config.eps_grid:
+    helpers = min(jobs, len(objects)) - 1
+    with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
+        for family, eps in itertools.product(config.families, config.eps_grid):
             if eps == 0.0:
-                adv_tr, adv_te = x_tr, x_te
+                views_tr, views_te = x_tr, x_te
             else:
-                adv_tr = np.empty_like(x_tr)
-                adv_te = np.empty_like(x_te)
-                if config.jobs > 1:
-                    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                        futs = [
-                            pool.submit(craft_object, family, eps, o, adv_tr, adv_te)
-                            for o in objects
-                        ]
-                        for f in futs:
-                            f.result()
-                else:
-                    for o in objects:
-                        craft_object(family, eps, o, adv_tr, adv_te)
-            result.cells.append(_make_cell(params, family, eps, "train", adv_tr, y_tr, tgt_tr))
-            result.cells.append(_make_cell(params, family, eps, "test", adv_te, y_te, tgt_te))
-            if eps > 0.0:
+                _share(pool, helpers, functools.partial(craft_object, family, eps), objects)
+                views_tr, views_te = adv_tr, adv_te
                 for p in sample_pos:
-                    result.samples[(family, float(eps), int(test_idx[p]))] = adv_te[p].copy()
+                    result.samples[(family, float(eps), int(test_idx[p]))] = ppm_pixels(adv_te[p])
+            result.cells.append(_make_cell(params, family, eps, "train", views_tr, y_tr, tgt_tr))
+            result.cells.append(_make_cell(params, family, eps, "test", views_te, y_te, tgt_te))
 
     result.ttests = _sweep_ttests(result)
     return result

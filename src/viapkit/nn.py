@@ -307,7 +307,7 @@ def forward_graph(params: ModelParams, batch: np.ndarray) -> Graph:
 # Most rows per forward_graph call in forward(). Inference needs no recorded
 # graph, so a large batch runs its conv stages in blocks: conv1's patch
 # matrix and the kept activations then scale with the block, not the batch.
-FORWARD_BLOCK = 32
+FORWARD_BLOCK = 16
 
 
 def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:

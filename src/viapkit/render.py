@@ -414,10 +414,15 @@ def render(shape: ShapeSpec, pose: CameraPose, size: int = IMG_SIZE) -> np.ndarr
     return img
 
 
+def ppm_pixels(image: np.ndarray) -> np.ndarray:
+    """The uint8 pixels write_ppm writes for an [0,1] float image."""
+    return np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
+
+
 def write_ppm(image: np.ndarray, path) -> None:
-    """Dump an [0,1] float image as binary PPM (P6) for eyeballing."""
+    """Dump an [0,1] float image, or its ppm_pixels, as binary PPM (P6) for eyeballing."""
     h, w = image.shape[:2]
-    data = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
+    data = image if image.dtype == np.uint8 else ppm_pixels(image)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(data.tobytes())

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import viapkit
 from viapkit import attacks, cli, nn, render, train
 
 
@@ -208,11 +211,12 @@ def test_sweep_reduced_and_deterministic(tiny_run):
         }
     }))
     outs = []
-    for name in ("s1", "s2"):
+    # the thread count changes no output byte, config.json included
+    for name, jobs in (("s1", "1"), ("s2", "3")):
         out = root / name
         rc = cli.main([
             "sweep", "--config", str(cfg), "--dataset", str(ds_dir),
-            "--weights", str(model_dir / "weights.viapnet"), "--out", str(out),
+            "--weights", str(model_dir / "weights.viapnet"), "--out", str(out), "--jobs", jobs,
         ])
         assert rc == cli.EXIT_OK
         outs.append(out)
@@ -224,6 +228,7 @@ def test_sweep_reduced_and_deterministic(tiny_run):
     for rel in rel_a:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
     assert (a / "report.csv").exists()
+    assert "jobs" not in json.loads((a / "config.json").read_text())["sweep"]
     # 2 families x 2 eps x 2 splits data rows
     assert len((a / "report.csv").read_text().strip().split("\n")) == 1 + 8
 
@@ -286,6 +291,7 @@ def last_error(capsys) -> dict:
     ("sweep", {"sweep": {"famillies": ["fgsm"]}}, "famillies"),
     ("sweep", {"eps_grid": [1.0]}, "eps_grid"),
     ("train", {"train": [1]}, "JSON objects"),
+    ("sweep", {"sweep": {"jobs": 2}}, "jobs"),
 ])
 def test_unknown_config_key_is_usage_error(tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"
@@ -336,6 +342,8 @@ def test_ill_typed_config_value_is_usage_error(tmp_path, capsys, command, cfg, k
     ({"sweep": {"iterations": 0, "families": ["fgsm"]}}, [], "iterations must be >= 1"),
     ({"sweep": {"families": ["fgsm", "fgsm"]}}, [], "families repeats a value"),
     ({"sweep": {"eps_grid": [0, 3, 3]}}, [], "eps_grid repeats a value"),
+    ({}, ["--jobs", "0"], "jobs must be >= 1"),
+    ({}, ["--jobs", "-2"], "jobs must be >= 1"),
 ])
 def test_sweep_rejects_bad_settings_before_any_work(tmp_path, capsys, cfg, flags, message):
     path = tmp_path / "cfg.json"
@@ -427,3 +435,64 @@ def test_malformed_weights_are_usage_errors(tiny_run, tmp_path, capsys):
                               "--out", str(tmp_path / argv[0])])
         assert rc == cli.EXIT_USAGE
         assert str(bad) in last_error(capsys)["message"]
+
+
+def viapkit_env(**extra) -> dict:
+    """The environment of a child process that imports this viapkit."""
+    src = str(Path(viapkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_is_not_a_usage_error(tiny_run, unbuffered):
+    # `viapkit attack ... | head -1`: the reader goes away before the command
+    # writes; with PYTHONUNBUFFERED the first print fails, without it the
+    # flush at the end does
+    root, _, ds_dir, model_dir = tiny_run
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "viapkit", "attack", "--dataset", str(ds_dir),
+         "--weights", str(model_dir / "weights.viapnet"), "--iters", "1",
+         "--out", str(root / f"atk-pipe-{unbuffered}")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=viapkit_env(PYTHONUNBUFFERED=unbuffered),
+    )
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == cli.EXIT_PIPE, err
+    assert err == b""
+
+
+def test_craft_error_in_a_helper_thread_exits_2(tiny_run):
+    # the main thread waits in its first craft until a helper has failed; the
+    # failure then stops the sweep with exit 2, and the process ends
+    root, _, ds_dir, model_dir = tiny_run
+    cfg = root / "sweep-no-gate.json"
+    cfg.write_text(json.dumps({"sweep": {"gate_train": 0.0, "gate_test": 0.0}}))
+    script = f"""
+import sys, threading
+from viapkit import attacks, cli
+
+real_craft, helper_failed = attacks.craft, threading.Event()
+
+def craft(*args, **kwargs):
+    if threading.current_thread() is threading.main_thread():
+        helper_failed.wait(timeout=60)
+        return real_craft(*args, **kwargs)
+    helper_failed.set()
+    raise ValueError("craft failed in a helper thread")
+
+attacks.craft = craft
+sys.exit(cli.main(["sweep", "--config", {str(cfg)!r}, "--dataset", {str(ds_dir)!r},
+                   "--weights", {str(model_dir / "weights.viapnet")!r},
+                   "--family", "bim", "--eps", "0,5", "--iters", "2", "--jobs", "2",
+                   "--out", {str(root / "s-helper-error")!r}]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=viapkit_env())
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    payload = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert payload == {"error": "usage", "message": "craft failed in a helper thread"}

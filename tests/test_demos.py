@@ -25,3 +25,16 @@ def test_craft_perturbation_demo_runs(tmp_path):
     assert pert.config.family == "viap" and pert.config.iterations == 2
     for name in ("clean.ppm", "adv.ppm", "delta_rescaled.ppm"):
         assert (out / name).read_bytes().startswith(b"P6\n")
+
+
+def test_epsilon_sweep_demo_runs(tmp_path):
+    out = tmp_path / "sweep"
+    env = {**os.environ, "PYTHONPATH": str(Path(viapkit.__file__).resolve().parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / "epsilon_sweep.py"), "--iters", "1",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "welch viap-vs-fgsm" in proc.stdout
+    assert (out / "report.json").exists()

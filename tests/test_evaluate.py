@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -134,23 +136,70 @@ def test_sweep_targets_shared_and_valid(tiny_sweep, tiny_dataset):
 
 
 def test_sweep_deterministic_and_jobs_invariant(tiny_dataset, victim):
+    # objects are crafted on jobs threads (capped at the 4 objects) pulling
+    # from one list; a short switch interval makes the threads interleave
     config = evaluate.SweepConfig(
         eps_grid=(0.0, 5.0), families=("viap", "bim"), iterations=2,
         gate_train=0.0, gate_test=0.0,
     )
-    a = evaluate.confidence_sweep(victim, tiny_dataset, config=config)
-    b = evaluate.confidence_sweep(victim, tiny_dataset, config=config)
-    c = evaluate.confidence_sweep(
-        victim, tiny_dataset,
-        config=evaluate.SweepConfig(
-            eps_grid=(0.0, 5.0), families=("viap", "bim"), iterations=2,
-            gate_train=0.0, gate_test=0.0, jobs=4,
-        ),
-    )
-    for other in (b, c):
+    a = evaluate.confidence_sweep(victim, tiny_dataset, config=config, jobs=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        others = [evaluate.confidence_sweep(victim, tiny_dataset, config=config, jobs=j)
+                  for j in (1, 2, 3, 9, None)]
+    finally:
+        sys.setswitchinterval(interval)
+    for other in others:
+        assert len(a.cells) == len(other.cells)
         for ca, cb in zip(a.cells, other.cells):
-            assert ca.family == cb.family and ca.eps == cb.eps and ca.split == cb.split
-            assert np.array_equal(ca.values, cb.values)
+            assert (ca.family, ca.eps, ca.split) == (cb.family, cb.eps, cb.split)
+            for f in ("values", "correct", "hits_target"):
+                assert np.array_equal(getattr(ca, f), getattr(cb, f)), (ca.family, ca.eps, f)
+        for got, want in ((other.samples, a.samples), (other.samples_clean, a.samples_clean)):
+            assert got.keys() == want.keys()
+            for key, pixels in got.items():
+                assert pixels.dtype == np.uint8 and np.array_equal(pixels, want[key]), key
+
+
+def test_craft_error_in_a_helper_thread_reaches_the_caller(tiny_dataset, victim, monkeypatch):
+    # the calling thread waits in its first craft until a helper thread has
+    # failed, so the failure surely happens off the calling thread
+    real_craft, caller = attacks.craft, threading.current_thread()
+    helper_failed, raised = threading.Event(), []
+
+    def craft(*args, **kwargs):
+        if threading.current_thread() is caller:
+            assert helper_failed.wait(timeout=60)
+            return real_craft(*args, **kwargs)
+        raised.append(ValueError("craft failed in a helper thread"))
+        helper_failed.set()
+        raise raised[-1]
+
+    monkeypatch.setattr(attacks, "craft", craft)
+    config = evaluate.SweepConfig(eps_grid=(0.0, 5.0), families=("bim",), iterations=2,
+                                  gate_train=0.0, gate_test=0.0)
+    with pytest.raises(ValueError, match="craft failed in a helper thread") as err:
+        evaluate.confidence_sweep(victim, tiny_dataset, config=config, jobs=2)
+    assert len(raised) == 1 and err.value is raised[0]
+
+
+def test_sweep_leaves_no_stale_rows_between_families(tiny_dataset, victim):
+    # every (family, eps > 0) overwrites one shared buffer pair: bim's cells
+    # after viap's must be those of a bim-only sweep
+    config = dict(eps_grid=(0.0, 3.0, 5.0), iterations=2, gate_train=0.0, gate_test=0.0)
+    both = evaluate.confidence_sweep(
+        victim, tiny_dataset, config=evaluate.SweepConfig(families=("viap", "bim"), **config))
+    alone = evaluate.confidence_sweep(
+        victim, tiny_dataset, config=evaluate.SweepConfig(families=("bim",), **config))
+    bim_cells = [c for c in both.cells if c.family == "bim"]
+    assert len(bim_cells) == len(alone.cells) == 6
+    for a, b in zip(bim_cells, alone.cells):
+        assert (a.eps, a.split, a.mean, a.std) == (b.eps, b.split, b.mean, b.std)
+        for f in ("values", "correct", "hits_target"):
+            assert np.array_equal(getattr(a, f), getattr(b, f)), (a.eps, a.split, f)
+    for key, pixels in alone.samples.items():
+        assert np.array_equal(both.samples[key], pixels), key
 
 
 def test_sweep_dispatches_each_family_to_its_kernel(tiny_dataset, victim, kernel_calls):
@@ -180,22 +229,35 @@ def test_sweep_dispatches_each_family_to_its_kernel(tiny_dataset, victim, kernel
 
 def test_shared_clean_sign_leaves_every_cell_unchanged(tiny_dataset, victim, monkeypatch):
     # fgsm's step and bim's first step reuse one clean-view sign per object
-    # and direction; crafting each object without it must give the same bits
+    # and direction; crafting each object without it must give the same bits,
+    # down to the float adversarial views and deltas each craft returns
     config = evaluate.SweepConfig(
         eps_grid=(0.0, 0.5, 3.0, 50.0), families=("fgsm", "fgsm-t", "bim", "bim-t"), iterations=3,
         gate_train=0.0, gate_test=0.0,
     )
     real_craft = attacks.craft
-    shared_signs = []
 
-    def craft(*args, first_sign=None):
-        shared_signs.append(first_sign is not None)
-        return real_craft(*args)
+    def recording(crafts, keep_sign):
+        def craft(*args, first_sign=None):
+            adv, delta = real_craft(*args, first_sign=first_sign if keep_sign else None)
+            cfg = args[3]
+            crafts[(cfg.family, cfg.eps, cfg.seed)] = (first_sign is not None, adv.copy(), delta)
+            return adv, delta
+        return craft
 
+    shared_crafts, plain_crafts = {}, {}
+    monkeypatch.setattr(attacks, "craft", recording(shared_crafts, keep_sign=True))
     shared = evaluate.confidence_sweep(victim, tiny_dataset, config=config)
-    monkeypatch.setattr(attacks, "craft", craft)
+    monkeypatch.setattr(attacks, "craft", recording(plain_crafts, keep_sign=False))
     plain = evaluate.confidence_sweep(victim, tiny_dataset, config=config)
-    assert shared_signs and all(shared_signs)
+
+    n_objects = len(tiny_dataset.objects())
+    assert len(shared_crafts) == len(plain_crafts) == 4 * 3 * n_objects
+    assert shared_crafts.keys() == plain_crafts.keys()
+    for key, (had_sign, adv, delta) in shared_crafts.items():
+        assert had_sign, key
+        assert np.array_equal(adv, plain_crafts[key][1]), key
+        assert np.array_equal(delta, plain_crafts[key][2]), key
     assert len(shared.cells) == len(plain.cells)
     for a, b in zip(shared.cells, plain.cells):
         assert (a.family, a.eps, a.split, a.mean, a.std) == (b.family, b.eps, b.split, b.mean, b.std)

@@ -76,10 +76,10 @@ def test_forward_rejects_bad_shapes(rng):
         nn.forward(params, bad)
 
 
-@pytest.mark.parametrize("batch", [1, 7, 31, 32, 33, 112, 113, 224, 225, 245, 320])
+@pytest.mark.parametrize("batch", [1, 7, 15, 16, 17, 31, 32, 33, 112, 113, 224, 225, 245, 320])
 def test_blocked_forward_equals_forward_graph(batch):
     # 245 and 320 rows are past the size at which a whole-batch dense GEMM
-    # takes another BLAS kernel than a 32-row one
+    # takes another BLAS kernel than a block-sized one
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(batch)))
     params = rand_params(rng, hw=32)
     x = rng.uniform(0, 1, size=(batch, 32, 32, 3))

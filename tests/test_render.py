@@ -218,6 +218,11 @@ def test_write_ppm(tmp_path):
     header = b"P6\n32 32\n255\n"
     assert data.startswith(header)
     assert len(data) == len(header) + 32 * 32 * 3
+    # the sweep keeps its samples as these pixels and writes the same bytes
+    pixels = render.ppm_pixels(img)
+    assert pixels.dtype == np.uint8
+    render.write_ppm(pixels, tmp_path / "pixels.ppm")
+    assert (tmp_path / "pixels.ppm").read_bytes() == data
 
 
 # --- dataset -----------------------------------------------------------------
