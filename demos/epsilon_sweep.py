@@ -16,7 +16,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--iters", type=int, default=20)
     ap.add_argument("--jobs", type=int, default=None,
-                    help="threads crafting objects at once (default: every core)")
+                    help="processes crafting objects at once (default: every core)")
     ap.add_argument("--out", default="demo_out/sweep")
     args = ap.parse_args()
 

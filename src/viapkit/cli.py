@@ -4,7 +4,7 @@ Every subcommand resolves its configuration from defaults <- JSON config
 file <- explicit flags (flags win), prints the resolved config, and writes
 it verbatim as config.json into the output directory. Nothing here reads
 wall-clock time or any other ambient randomness, so a fixed config + seed
-reproduces every output byte. sweep's --jobs (how many threads craft) is
+reproduces every output byte. sweep's --jobs (how many processes craft) is
 not a config key: no output byte depends on it.
 """
 
@@ -455,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_parse_eps, default=None, help="comma list, 0-255 scale")
     p.add_argument("--iters", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None,
-                   help="threads crafting objects at once (default: every core)")
+                   help="processes crafting objects at once (default: every core)")
     p.add_argument("--literal-eq-step", action="store_true")
 
     p = sub.add_parser("verify", help="run the invariant suite")

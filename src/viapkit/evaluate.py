@@ -9,13 +9,13 @@ label (lower = stronger attack); targeted cells track the target label
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import itertools
 import json
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+import pickle
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -262,46 +262,158 @@ def _make_cell(params, family, eps, split, images, labels, targets_pv) -> Cell:
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """The threads a sweep crafts on; None means every core this process may use."""
+    """The processes a sweep crafts on; None means every core this process may use.
+
+    Crafting beside the main process forks it, so where os.fork does not
+    exist every sweep crafts on this process alone.
+    """
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1; got {jobs}")
+    if not hasattr(os, "fork"):
+        return 1
     if jobs is None:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1; got {jobs}")
     return jobs
 
 
-def _share(pool: ThreadPoolExecutor, helpers: int, work, items) -> None:
-    """Run work(item) for every item on this thread and on `helpers` pool threads.
+def _empty_like(a: np.ndarray, shared: bool) -> np.ndarray:
+    """An empty array like a; if shared, in anonymous memory that processes forked later share."""
+    if not shared:
+        return np.empty_like(a)
+    import mmap
 
-    All of them take items from one list under a lock. An exception empties
-    the list, so the other threads stop after their current item, and it
-    reaches the caller unchanged once every thread has stopped.
+    buf = mmap.mmap(-1, max(a.nbytes, 1))
+    return np.frombuffer(buf, dtype=a.dtype, count=a.size).reshape(a.shape)
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """exc if it survives a pickle round trip, else a RuntimeError that carries its repr."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"a crafter process raised {exc!r}")
+    return exc
+
+
+def _died(proc) -> RuntimeError:
+    proc.join()
+    return RuntimeError(f"crafter process {proc.pid} died with exit code {proc.exitcode}")
+
+
+class _Crafters:
+    """This process and `helpers` forked ones, calling work(*args, i) for every i < n.
+
+    The helpers are forked once, when the context is entered, so they share
+    everything this process holds then; they hand results back only through
+    memory made by _empty_like(..., shared=True) before the fork. run(*args)
+    sends args down each helper's pipe; then every process takes indices
+    from one lock-guarded counter. An exception sets the counter past n, so
+    the others stop after their current index. A helper answers None or the
+    exception it raised, and run returns once every answer is in, raising
+    the first exception it meets; a helper that died raises RuntimeError.
+    Leaving the context kills and joins every helper.
+    With no helpers nothing is forked and run calls work in order.
     """
-    todo = list(reversed(items))
-    lock = threading.Lock()
 
-    def drain():
+    def __init__(self, helpers: int, work, n: int):
+        self.helpers, self.work, self.n = helpers, work, n
+        self.procs, self.conns = [], []
+
+    def __enter__(self):
+        if self.helpers == 0:
+            return self
+        import multiprocessing
+        from multiprocessing import connection
+
+        ctx = multiprocessing.get_context("fork")
+        self.wait = connection.wait
+        self.next = ctx.Value("q", 0)
+        # a line still in a buffer would be written again by a helper that flushes on exit
+        for stream in (sys.stdout, sys.stderr):
+            with contextlib.suppress(OSError):
+                stream.flush()
+        try:
+            for _ in range(self.helpers):
+                ours, theirs = ctx.Pipe()
+                self.conns.append(ours)
+                proc = ctx.Process(target=self._serve, args=(theirs,), daemon=True)
+                proc.start()
+                theirs.close()
+                self.procs.append(proc)
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc_info):
+        for proc in self.procs:
+            proc.kill()
+        for proc in self.procs:
+            proc.join()
+        for conn in self.conns:
+            conn.close()
+
+    def run(self, *args) -> None:
+        if not self.procs:
+            for i in range(self.n):
+                self.work(*args, i)
+            return
+        self.next.value = 0
+        for conn, proc in zip(self.conns, self.procs):
+            try:
+                conn.send(args)
+            except ConnectionError:  # the helper died since the last run
+                raise _died(proc) from None
+        self._drain(args)
+        for conn, proc in zip(self.conns, self.procs):
+            answer = self._answer(conn, proc)
+            if answer is not None:
+                raise answer
+
+    def _answer(self, conn, proc):
+        """The helper's answer to the last run: None or the exception it raised."""
+        # a helper that dies closes its end of the pipe, which then reads EOF
+        self.wait([conn, proc.sentinel])
+        with contextlib.suppress(EOFError):
+            if conn.poll():
+                return conn.recv()
+        raise _died(proc)
+
+    def _drain(self, args) -> None:
+        lock = self.next.get_lock()
         while True:
             with lock:
-                if not todo:
-                    return
-                item = todo.pop()
+                i = self.next.value
+                self.next.value = i + 1
+            if i >= self.n:
+                return
             try:
-                work(item)
+                self.work(*args, i)
             except BaseException:
                 with lock:
-                    todo.clear()
+                    self.next.value = self.n
                 raise
 
-    futures = [pool.submit(drain) for _ in range(helpers)]
-    try:
-        drain()
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
+    def _serve(self, conn) -> None:
+        """A helper's loop: drain for each args received, answer None or the exception."""
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C reaches the main process, which kills us
+        for ours in self.conns:  # so that this pipe reads EOF once the main process is gone
+            ours.close()
+        try:
+            while True:
+                args = conn.recv()
+                try:
+                    self._drain(args)
+                    answer = None
+                except BaseException as exc:
+                    answer = _portable(exc)
+                conn.send(answer)
+        except (EOFError, ConnectionError):  # the main process is gone
+            return
 
 
 def confidence_sweep(
@@ -317,8 +429,9 @@ def confidence_sweep(
     gradient sign per object and direction (attacks.clean_sign).
 
     Objects are independent, so each (family, eps) crafts them on `jobs`
-    threads (resolve_jobs; at most one per object): this one and jobs - 1
-    helpers of one pool per sweep. Every output bit is the same for any jobs.
+    processes (resolve_jobs; at most one per object): this one and jobs - 1
+    crafters forked once per sweep, after the clean signs are taken. Scoring
+    stays on this process. Every output bit is the same for any jobs.
     """
     jobs = resolve_jobs(jobs)
     train_idx = dataset.indices("train")
@@ -374,10 +487,12 @@ def confidence_sweep(
     }
 
     # the objects partition both splits, so every (family, eps > 0) writes
-    # every row of one buffer pair
-    adv_tr, adv_te = np.empty_like(x_tr), np.empty_like(x_te)
+    # every row of one buffer pair; crafter processes write their rows there
+    helpers = min(jobs, len(objects)) - 1
+    adv_tr, adv_te = _empty_like(x_tr, helpers > 0), _empty_like(x_te, helpers > 0)
 
-    def craft_object(family, eps, o):
+    def craft_object(family, eps, i):
+        o = objects[i]
         pos_t, pos_e = tr_pos[o], te_pos[o]
         cfg = config.attack_config(
             family, eps, target=targets[o] if attacks.targeted(family) else None,
@@ -389,13 +504,12 @@ def confidence_sweep(
         )
         adv_te[pos_e] = attacks.apply_delta(delta, x_te[pos_e])
 
-    helpers = min(jobs, len(objects)) - 1
-    with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
+    with _Crafters(helpers, craft_object, len(objects)) as crafters:
         for family, eps in itertools.product(config.families, config.eps_grid):
             if eps == 0.0:
                 views_tr, views_te = x_tr, x_te
             else:
-                _share(pool, helpers, functools.partial(craft_object, family, eps), objects)
+                crafters.run(family, eps)
                 views_tr, views_te = adv_tr, adv_te
                 for p in sample_pos:
                     result.samples[(family, float(eps), int(test_idx[p]))] = ppm_pixels(adv_te[p])

@@ -211,7 +211,7 @@ def test_sweep_reduced_and_deterministic(tiny_run):
         }
     }))
     outs = []
-    # the thread count changes no output byte, config.json included
+    # the process count changes no output byte, config.json included
     for name, jobs in (("s1", "1"), ("s2", "3")):
         out = root / name
         rc = cli.main([
@@ -466,33 +466,62 @@ def test_closed_stdout_is_not_a_usage_error(tiny_run, unbuffered):
     assert err == b""
 
 
-def test_craft_error_in_a_helper_thread_exits_2(tiny_run):
-    # the main thread waits in its first craft until a helper has failed; the
-    # failure then stops the sweep with exit 2, and the process ends
+def sweep_failing_in_a_crafter(tiny_run, name, failure):
+    """Run a CLI sweep in a new process whose crafter processes run `failure`.
+
+    The main process's crafts wait until a crafter has started failing (it
+    touches a marker file), so the failure surely happens off the main process.
+    """
     root, _, ds_dir, model_dir = tiny_run
     cfg = root / "sweep-no-gate.json"
     cfg.write_text(json.dumps({"sweep": {"gate_train": 0.0, "gate_test": 0.0}}))
+    marker = root / f"{name}.marker"
     script = f"""
-import sys, threading
+import os, sys, time
 from viapkit import attacks, cli
 
-real_craft, helper_failed = attacks.craft, threading.Event()
+real_craft, main_pid = attacks.craft, os.getpid()
 
 def craft(*args, **kwargs):
-    if threading.current_thread() is threading.main_thread():
-        helper_failed.wait(timeout=60)
-        return real_craft(*args, **kwargs)
-    helper_failed.set()
-    raise ValueError("craft failed in a helper thread")
+    if os.getpid() != main_pid:
+        open({str(marker)!r}, "w").close()
+        {failure}
+    while not os.path.exists({str(marker)!r}):
+        time.sleep(0.01)
+    return real_craft(*args, **kwargs)
 
 attacks.craft = craft
 sys.exit(cli.main(["sweep", "--config", {str(cfg)!r}, "--dataset", {str(ds_dir)!r},
                    "--weights", {str(model_dir / "weights.viapnet")!r},
                    "--family", "bim", "--eps", "0,5", "--iters", "2", "--jobs", "2",
-                   "--out", {str(root / "s-helper-error")!r}]))
+                   "--out", {str(root / name)!r}]))
 """
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env=viapkit_env())
+
+
+def test_craft_error_in_a_crafter_process_exits_2(tiny_run):
+    proc = sweep_failing_in_a_crafter(
+        tiny_run, "s-crafter-error", 'raise ValueError("craft failed in a crafter process")')
     assert proc.returncode == cli.EXIT_USAGE, proc.stderr
     payload = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert payload == {"error": "usage", "message": "craft failed in a helper thread"}
+    assert payload == {"error": "usage", "message": "craft failed in a crafter process"}
+
+
+def test_crafter_process_that_dies_fails_the_sweep(tiny_run):
+    proc = sweep_failing_in_a_crafter(tiny_run, "s-crafter-died", "os._exit(3)")
+    assert proc.returncode == cli.EXIT_INTERNAL, proc.stderr
+    payload = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert payload["error"] == "internal"
+    assert payload["message"].startswith("RuntimeError: crafter process")
+    assert payload["message"].endswith("died with exit code 3")
+
+
+def test_cli_import_loads_no_process_or_thread_pool():
+    # the sweep imports multiprocessing only when it forks crafters
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, viapkit.cli; "
+         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"],
+        capture_output=True, text=True, timeout=120, env=viapkit_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,7 +1,10 @@
 import dataclasses
 import json
-import sys
-import threading
+import multiprocessing
+import os
+import signal
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -136,20 +139,15 @@ def test_sweep_targets_shared_and_valid(tiny_sweep, tiny_dataset):
 
 
 def test_sweep_deterministic_and_jobs_invariant(tiny_dataset, victim):
-    # objects are crafted on jobs threads (capped at the 4 objects) pulling
-    # from one list; a short switch interval makes the threads interleave
+    # objects are crafted on jobs processes (capped at the 4 objects) that
+    # take them from one shared counter
     config = evaluate.SweepConfig(
         eps_grid=(0.0, 5.0), families=("viap", "bim"), iterations=2,
         gate_train=0.0, gate_test=0.0,
     )
     a = evaluate.confidence_sweep(victim, tiny_dataset, config=config, jobs=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        others = [evaluate.confidence_sweep(victim, tiny_dataset, config=config, jobs=j)
-                  for j in (1, 2, 3, 9, None)]
-    finally:
-        sys.setswitchinterval(interval)
+    others = [evaluate.confidence_sweep(victim, tiny_dataset, config=config, jobs=j)
+              for j in (1, 2, 3, 9, None)]
     for other in others:
         assert len(a.cells) == len(other.cells)
         for ca, cb in zip(a.cells, other.cells):
@@ -160,28 +158,102 @@ def test_sweep_deterministic_and_jobs_invariant(tiny_dataset, victim):
             assert got.keys() == want.keys()
             for key, pixels in got.items():
                 assert pixels.dtype == np.uint8 and np.array_equal(pixels, want[key]), key
+    assert multiprocessing.active_children() == []
 
 
-def test_craft_error_in_a_helper_thread_reaches_the_caller(tiny_dataset, victim, monkeypatch):
-    # the calling thread waits in its first craft until a helper thread has
-    # failed, so the failure surely happens off the calling thread
-    real_craft, caller = attacks.craft, threading.current_thread()
-    helper_failed, raised = threading.Event(), []
+@contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError instead of hanging past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def fail_in_a_crafter(monkeypatch, marker, fail):
+    """Make crafts in a crafter process call fail(); the main process's crafts
+    wait until one has (it touches marker), so the failure surely happens off
+    the main process."""
+    real_craft, main_pid = attacks.craft, os.getpid()
 
     def craft(*args, **kwargs):
-        if threading.current_thread() is caller:
-            assert helper_failed.wait(timeout=60)
-            return real_craft(*args, **kwargs)
-        raised.append(ValueError("craft failed in a helper thread"))
-        helper_failed.set()
-        raise raised[-1]
+        if os.getpid() != main_pid:
+            marker.touch()
+            fail()
+        while not marker.exists():
+            time.sleep(0.01)
+        return real_craft(*args, **kwargs)
 
     monkeypatch.setattr(attacks, "craft", craft)
-    config = evaluate.SweepConfig(eps_grid=(0.0, 5.0), families=("bim",), iterations=2,
-                                  gate_train=0.0, gate_test=0.0)
-    with pytest.raises(ValueError, match="craft failed in a helper thread") as err:
-        evaluate.confidence_sweep(victim, tiny_dataset, config=config, jobs=2)
-    assert len(raised) == 1 and err.value is raised[0]
+
+
+ONE_BIM = evaluate.SweepConfig(eps_grid=(0.0, 5.0), families=("bim",), iterations=2,
+                               gate_train=0.0, gate_test=0.0)
+
+
+def test_craft_error_in_a_crafter_process_reaches_the_caller(
+        tiny_dataset, victim, monkeypatch, tmp_path):
+    def fail():
+        raise ValueError("craft failed in a crafter process")
+
+    fail_in_a_crafter(monkeypatch, tmp_path / "failed", fail)
+    with deadline(120), pytest.raises(ValueError) as err:
+        evaluate.confidence_sweep(victim, tiny_dataset, config=ONE_BIM, jobs=2)
+    # the exception crossed a process boundary: an equal one, not the same object
+    assert type(err.value) is ValueError
+    assert err.value.args == ("craft failed in a crafter process",)
+    assert multiprocessing.active_children() == []
+
+
+def test_unpicklable_craft_error_arrives_as_runtime_error(
+        tiny_dataset, victim, monkeypatch, tmp_path):
+    class LocalError(Exception):  # a local class does not pickle
+        pass
+
+    def fail():
+        raise LocalError("no way back")
+
+    fail_in_a_crafter(monkeypatch, tmp_path / "failed", fail)
+    with deadline(120), pytest.raises(RuntimeError, match="LocalError.*no way back"):
+        evaluate.confidence_sweep(victim, tiny_dataset, config=ONE_BIM, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_crafter_process_that_dies_stops_the_sweep(tiny_dataset, victim, monkeypatch, tmp_path):
+    fail_in_a_crafter(monkeypatch, tmp_path / "died", lambda: os._exit(3))
+    with deadline(120), pytest.raises(RuntimeError, match="died with exit code 3"):
+        evaluate.confidence_sweep(victim, tiny_dataset, config=ONE_BIM, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_crafter_process_that_dies_between_cells_stops_the_next():
+    with deadline(60), evaluate._Crafters(1, lambda i: None, 2) as crafters:
+        crafters.run()
+        crafters.procs[0].kill()
+        crafters.procs[0].join()
+        with pytest.raises(RuntimeError, match="died with exit code -9"):
+            crafters.run()
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupted_sweep_leaves_no_crafter_process(tiny_dataset, victim, monkeypatch):
+    real_craft, main_pid = attacks.craft, os.getpid()
+
+    def craft(*args, **kwargs):
+        if os.getpid() == main_pid:
+            raise KeyboardInterrupt
+        return real_craft(*args, **kwargs)
+
+    monkeypatch.setattr(attacks, "craft", craft)
+    with deadline(120), pytest.raises(KeyboardInterrupt):
+        evaluate.confidence_sweep(victim, tiny_dataset, config=ONE_BIM, jobs=3)
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_leaves_no_stale_rows_between_families(tiny_dataset, victim):
@@ -206,7 +278,8 @@ def test_sweep_dispatches_each_family_to_its_kernel(tiny_dataset, victim, kernel
     config = evaluate.SweepConfig(
         eps_grid=(0.0, 3.0, 5.0), iterations=2, gate_train=0.0, gate_test=0.0,
     )
-    sweep = evaluate.confidence_sweep(victim, tiny_dataset, config=config)
+    # the kernel calls are recorded in this process: craft here alone
+    sweep = evaluate.confidence_sweep(victim, tiny_dataset, config=config, jobs=1)
 
     ds = tiny_dataset
     train_views = {o: ds.indices("train", object_id=o) for o in ds.objects()}
@@ -246,10 +319,11 @@ def test_shared_clean_sign_leaves_every_cell_unchanged(tiny_dataset, victim, mon
         return craft
 
     shared_crafts, plain_crafts = {}, {}
+    # the crafts are recorded in this process: craft here alone
     monkeypatch.setattr(attacks, "craft", recording(shared_crafts, keep_sign=True))
-    shared = evaluate.confidence_sweep(victim, tiny_dataset, config=config)
+    shared = evaluate.confidence_sweep(victim, tiny_dataset, config=config, jobs=1)
     monkeypatch.setattr(attacks, "craft", recording(plain_crafts, keep_sign=False))
-    plain = evaluate.confidence_sweep(victim, tiny_dataset, config=config)
+    plain = evaluate.confidence_sweep(victim, tiny_dataset, config=config, jobs=1)
 
     n_objects = len(tiny_dataset.objects())
     assert len(shared_crafts) == len(plain_crafts) == 4 * 3 * n_objects
@@ -285,7 +359,7 @@ def test_sweep_gradient_call_count(tiny_dataset, victim, monkeypatch, families):
     config = evaluate.SweepConfig(
         eps_grid=eps_grid, families=families, iterations=n, gate_train=0.0, gate_test=0.0,
     )
-    evaluate.confidence_sweep(victim, tiny_dataset, config=config)
+    evaluate.confidence_sweep(victim, tiny_dataset, config=config, jobs=1)  # counted here alone
 
     per_family = {"fgsm": 0, "fgsm-t": 0, "bim": n - 1, "bim-t": n - 1, "viap": n, "viap-t": n}
     directions = {attacks.targeted(f) for f in families if f not in attacks.VIAP_FAMILIES}
