@@ -16,14 +16,15 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--iters", type=int, default=20)
     ap.add_argument("--jobs", type=int, default=None,
-                    help="processes crafting objects at once (default: every core)")
+                    help="processes rendering, training and crafting (default: every core)")
     ap.add_argument("--out", default="demo_out/sweep")
     args = ap.parse_args()
 
-    ds = render.generate_dataset(seed=7)
+    ds = render.generate_dataset(None, args.jobs, seed=7)
     tr, te = ds.indices("train"), ds.indices("test")
     params, _ = train_mod.train(train_mod.init_params(0), ds.images[tr], ds.labels[tr],
-                                train_mod.TrainConfig(), val=(ds.images[te], ds.labels[te]))
+                                train_mod.TrainConfig(), val=(ds.images[te], ds.labels[te]),
+                                jobs=args.jobs)
 
     cfg = evaluate.SweepConfig(iterations=args.iters)
     result = evaluate.confidence_sweep(params, ds, config=cfg, jobs=args.jobs)

@@ -4,8 +4,9 @@ Every subcommand resolves its configuration from defaults <- JSON config
 file <- explicit flags (flags win), prints the resolved config, and writes
 it verbatim as config.json into the output directory. Nothing here reads
 wall-clock time or any other ambient randomness, so a fixed config + seed
-reproduces every output byte. sweep's --jobs (how many processes craft) is
-not a config key: no output byte depends on it.
+reproduces every output byte. sweep's --jobs (how many processes render,
+train and craft; dataset and train use every core) is not a config key: no
+output byte depends on it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import typing
 
 import numpy as np
 
-from viapkit import attacks, evaluate, nn, render
+from viapkit import attacks, evaluate, forked, nn, render
 from viapkit import train as train_mod
 
 EXIT_OK = 0
@@ -175,12 +176,12 @@ def _splits(ds) -> tuple:
 
 
 def _train_and_save(
-    config: train_mod.TrainConfig, splits: tuple, n_classes: int, out
+    config: train_mod.TrainConfig, splits: tuple, n_classes: int, out, jobs: int | None = None
 ) -> nn.ModelParams:
     """Train the victim on the train split; write weights.viapnet and train_log.csv."""
     (x_tr, y_tr), test = splits
     params = train_mod.init_params(config.seed, *x_tr.shape[1:], n_classes)
-    params, log = train_mod.train(params, x_tr, y_tr, config, val=test)
+    params, log = train_mod.train(params, x_tr, y_tr, config, val=test, jobs=jobs)
     os.makedirs(out, exist_ok=True)
     nn.save_params(params, os.path.join(out, "weights.viapnet"))
     with open(os.path.join(out, "train_log.csv"), "w") as fh:
@@ -298,17 +299,18 @@ def cmd_sweep(args) -> int:
     # a bad train or sweep setting fails here, before any rendering or training
     scfg = evaluate.SweepConfig(**sweep_cfg, seed=seed)
     tcfg = train_mod.TrainConfig(**train_cfg)
-    jobs = evaluate.resolve_jobs(args.jobs)
+    jobs = forked.resolve_jobs(args.jobs)
 
     if args.dataset:
         ds = render.load_dataset(args.dataset)
     else:
-        ds = render.generate_dataset(out_dir=os.path.join(out, "dataset"), **dataset_cfg)
+        ds = render.generate_dataset(os.path.join(out, "dataset"), jobs, **dataset_cfg)
 
     if args.weights:
         params = nn.load_params(args.weights)
     else:
-        params = _train_and_save(tcfg, _splits(ds), ds.n_classes, os.path.join(out, "model"))
+        params = _train_and_save(
+            tcfg, _splits(ds), ds.n_classes, os.path.join(out, "model"), jobs)
 
     result = evaluate.confidence_sweep(params, ds, config=scfg, jobs=jobs)
     files = evaluate.emit_report(result, result.ttests, out)
@@ -455,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_parse_eps, default=None, help="comma list, 0-255 scale")
     p.add_argument("--iters", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None,
-                   help="processes crafting objects at once (default: every core)")
+                   help="processes rendering, training and crafting (default: every core)")
     p.add_argument("--literal-eq-step", action="store_true")
 
     p = sub.add_parser("verify", help="run the invariant suite")

@@ -9,18 +9,15 @@ label (lower = stronger attack); targeted cells track the target label
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
 import os
-import pickle
-import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from viapkit import attacks, nn, train
+from viapkit import attacks, forked, nn, train
 from viapkit.attacks import AttackConfig, FAMILIES, SINGLE_STEP_FAMILIES
 from viapkit.render import Dataset, ppm_pixels, write_ppm
 
@@ -245,9 +242,8 @@ def attack_seed(seed: int, family: str, eps: float, object_id: int) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
-def _make_cell(params, family, eps, split, images, labels, targets_pv) -> Cell:
+def _make_cell(family, eps, split, probs, labels, targets_pv) -> Cell:
     is_targeted = attacks.targeted(family)
-    probs = nn.softmax(nn.forward(params, images))
     pred = np.argmax(probs, axis=1)
     rows = np.arange(len(labels))
     tracked = probs[rows, targets_pv] if is_targeted else probs[rows, labels]
@@ -261,161 +257,6 @@ def _make_cell(params, family, eps, split, images, labels, targets_pv) -> Cell:
     )
 
 
-def resolve_jobs(jobs: int | None) -> int:
-    """The processes a sweep crafts on; None means every core this process may use.
-
-    Crafting beside the main process forks it, so where os.fork does not
-    exist every sweep crafts on this process alone.
-    """
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be >= 1; got {jobs}")
-    if not hasattr(os, "fork"):
-        return 1
-    if jobs is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    return jobs
-
-
-def _empty_like(a: np.ndarray, shared: bool) -> np.ndarray:
-    """An empty array like a; if shared, in anonymous memory that processes forked later share."""
-    if not shared:
-        return np.empty_like(a)
-    import mmap
-
-    buf = mmap.mmap(-1, max(a.nbytes, 1))
-    return np.frombuffer(buf, dtype=a.dtype, count=a.size).reshape(a.shape)
-
-
-def _portable(exc: BaseException) -> BaseException:
-    """exc if it survives a pickle round trip, else a RuntimeError that carries its repr."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return RuntimeError(f"a crafter process raised {exc!r}")
-    return exc
-
-
-def _died(proc) -> RuntimeError:
-    proc.join()
-    return RuntimeError(f"crafter process {proc.pid} died with exit code {proc.exitcode}")
-
-
-class _Crafters:
-    """This process and `helpers` forked ones, calling work(*args, i) for every i < n.
-
-    The helpers are forked once, when the context is entered, so they share
-    everything this process holds then; they hand results back only through
-    memory made by _empty_like(..., shared=True) before the fork. run(*args)
-    sends args down each helper's pipe; then every process takes indices
-    from one lock-guarded counter. An exception sets the counter past n, so
-    the others stop after their current index. A helper answers None or the
-    exception it raised, and run returns once every answer is in, raising
-    the first exception it meets; a helper that died raises RuntimeError.
-    Leaving the context kills and joins every helper.
-    With no helpers nothing is forked and run calls work in order.
-    """
-
-    def __init__(self, helpers: int, work, n: int):
-        self.helpers, self.work, self.n = helpers, work, n
-        self.procs, self.conns = [], []
-
-    def __enter__(self):
-        if self.helpers == 0:
-            return self
-        import multiprocessing
-        from multiprocessing import connection
-
-        ctx = multiprocessing.get_context("fork")
-        self.wait = connection.wait
-        self.next = ctx.Value("q", 0)
-        # a line still in a buffer would be written again by a helper that flushes on exit
-        for stream in (sys.stdout, sys.stderr):
-            with contextlib.suppress(OSError):
-                stream.flush()
-        try:
-            for _ in range(self.helpers):
-                ours, theirs = ctx.Pipe()
-                self.conns.append(ours)
-                proc = ctx.Process(target=self._serve, args=(theirs,), daemon=True)
-                proc.start()
-                theirs.close()
-                self.procs.append(proc)
-        except BaseException:
-            self.__exit__()
-            raise
-        return self
-
-    def __exit__(self, *exc_info):
-        for proc in self.procs:
-            proc.kill()
-        for proc in self.procs:
-            proc.join()
-        for conn in self.conns:
-            conn.close()
-
-    def run(self, *args) -> None:
-        if not self.procs:
-            for i in range(self.n):
-                self.work(*args, i)
-            return
-        self.next.value = 0
-        for conn, proc in zip(self.conns, self.procs):
-            try:
-                conn.send(args)
-            except ConnectionError:  # the helper died since the last run
-                raise _died(proc) from None
-        self._drain(args)
-        for conn, proc in zip(self.conns, self.procs):
-            answer = self._answer(conn, proc)
-            if answer is not None:
-                raise answer
-
-    def _answer(self, conn, proc):
-        """The helper's answer to the last run: None or the exception it raised."""
-        # a helper that dies closes its end of the pipe, which then reads EOF
-        self.wait([conn, proc.sentinel])
-        with contextlib.suppress(EOFError):
-            if conn.poll():
-                return conn.recv()
-        raise _died(proc)
-
-    def _drain(self, args) -> None:
-        lock = self.next.get_lock()
-        while True:
-            with lock:
-                i = self.next.value
-                self.next.value = i + 1
-            if i >= self.n:
-                return
-            try:
-                self.work(*args, i)
-            except BaseException:
-                with lock:
-                    self.next.value = self.n
-                raise
-
-    def _serve(self, conn) -> None:
-        """A helper's loop: drain for each args received, answer None or the exception."""
-        import signal
-
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C reaches the main process, which kills us
-        for ours in self.conns:  # so that this pipe reads EOF once the main process is gone
-            ours.close()
-        try:
-            while True:
-                args = conn.recv()
-                try:
-                    self._drain(args)
-                    answer = None
-                except BaseException as exc:
-                    answer = _portable(exc)
-                conn.send(answer)
-        except (EOFError, ConnectionError):  # the main process is gone
-            return
-
-
 def confidence_sweep(
     params: nn.ModelParams, dataset: Dataset, config: SweepConfig = SweepConfig(),
     jobs: int | None = None,
@@ -425,30 +266,32 @@ def confidence_sweep(
     Per object: attacks.craft attacks its training views, and the delta it
     returns (viap's shared delta, or the per-image families' mean training
     noise) is applied to its test views. eps = 0 short-circuits to clean
-    images for every family. The per-image families share one clean-view
+    images for every family: its cells read the clean forward pass of each
+    split that the gate reads. The per-image families share one clean-view
     gradient sign per object and direction (attacks.clean_sign).
 
     Objects are independent, so each (family, eps) crafts them on `jobs`
-    processes (resolve_jobs; at most one per object): this one and jobs - 1
-    crafters forked once per sweep, after the clean signs are taken. Scoring
-    stays on this process. Every output bit is the same for any jobs.
+    processes (forked.resolve_jobs; at most one per object): this one and
+    jobs - 1 crafters forked once per sweep, after the clean signs are
+    taken. Scoring stays on this process. Every output bit is the same for
+    any jobs.
     """
-    jobs = resolve_jobs(jobs)
+    jobs = forked.resolve_jobs(jobs)
     train_idx = dataset.indices("train")
     test_idx = dataset.indices("test")
     x_tr, y_tr = dataset.images[train_idx], dataset.labels[train_idx]
     x_te, y_te = dataset.images[test_idx], dataset.labels[test_idx]
     k = dataset.n_classes
 
-    acc_tr, conf_tr = train.evaluate_clean(params, x_tr, y_tr)
-    acc_te, conf_te = train.evaluate_clean(params, x_te, y_te)
-    clean = {
-        "train_acc": acc_tr, "train_true_softmax": conf_tr,
-        "test_acc": acc_te, "test_true_softmax": conf_te,
-    }
-    if acc_tr < config.gate_train or acc_te < config.gate_test:
+    # one clean forward per split serves the gate and every eps = 0 cell
+    clean, clean_probs = {}, {}
+    for split, x, y in (("train", x_tr, y_tr), ("test", x_te, y_te)):
+        logits = nn.forward(params, x)
+        clean[f"{split}_acc"], clean[f"{split}_true_softmax"] = train.clean_metrics(logits, y)
+        clean_probs[split] = nn.softmax(logits)
+    if clean["train_acc"] < config.gate_train or clean["test_acc"] < config.gate_test:
         raise GateFailure(
-            {"train_acc": acc_tr, "test_acc": acc_te,
+            {"train_acc": clean["train_acc"], "test_acc": clean["test_acc"],
              "gate_train": config.gate_train, "gate_test": config.gate_test}
         )
 
@@ -487,9 +330,8 @@ def confidence_sweep(
     }
 
     # the objects partition both splits, so every (family, eps > 0) writes
-    # every row of one buffer pair; crafter processes write their rows there
-    helpers = min(jobs, len(objects)) - 1
-    adv_tr, adv_te = _empty_like(x_tr, helpers > 0), _empty_like(x_te, helpers > 0)
+    # every row of one buffer pair
+    adv_tr, adv_te = np.empty_like(x_tr), np.empty_like(x_te)
 
     def craft_object(family, eps, i):
         o = objects[i]
@@ -498,23 +340,28 @@ def confidence_sweep(
             family, eps, target=targets[o] if attacks.targeted(family) else None,
             seed=attack_seed(config.seed, family, eps, o),
         )
-        adv_tr[pos_t], delta = attacks.craft(
+        adv, delta = attacks.craft(
             params, x_tr[pos_t], y_tr[pos_t], cfg,
             first_sign=clean_signs.get((o, attacks.targeted(family))),
         )
-        adv_te[pos_e] = attacks.apply_delta(delta, x_te[pos_e])
+        return adv, attacks.apply_delta(delta, x_te[pos_e])
 
-    with _Crafters(helpers, craft_object, len(objects)) as crafters:
+    def keep_object(i, views):
+        adv_tr[tr_pos[objects[i]]], adv_te[te_pos[objects[i]]] = views
+
+    helpers = min(jobs, len(objects)) - 1
+    with forked.Helpers(helpers, craft_object, keep_object, len(objects), "crafter") as crafters:
         for family, eps in itertools.product(config.families, config.eps_grid):
             if eps == 0.0:
-                views_tr, views_te = x_tr, x_te
+                probs_tr, probs_te = clean_probs["train"], clean_probs["test"]
             else:
                 crafters.run(family, eps)
-                views_tr, views_te = adv_tr, adv_te
+                probs_tr = nn.softmax(nn.forward(params, adv_tr))
+                probs_te = nn.softmax(nn.forward(params, adv_te))
                 for p in sample_pos:
                     result.samples[(family, float(eps), int(test_idx[p]))] = ppm_pixels(adv_te[p])
-            result.cells.append(_make_cell(params, family, eps, "train", views_tr, y_tr, tgt_tr))
-            result.cells.append(_make_cell(params, family, eps, "test", views_te, y_te, tgt_te))
+            result.cells.append(_make_cell(family, eps, "train", probs_tr, y_tr, tgt_tr))
+            result.cells.append(_make_cell(family, eps, "test", probs_te, y_te, tgt_te))
 
     result.ttests = _sweep_ttests(result)
     return result

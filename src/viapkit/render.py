@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from viapkit import forked
+
 IMG_SIZE = 32
 BACKGROUND = (0.9, 0.9, 0.9)
 FOV_DEGREES = 45.0
@@ -306,7 +308,9 @@ def _edge_functions(ax, ay, bx, by, cx, cy, px, py) -> tuple:
     )
 
 
-def render(shape: ShapeSpec, pose: CameraPose, size: int = IMG_SIZE) -> np.ndarray:
+def render(
+    shape: ShapeSpec, pose: CameraPose, size: int = IMG_SIZE, mesh: tuple | None = None
+) -> np.ndarray:
     """Rasterize one view: perspective projection, z-buffer, banded Lambertian.
 
     Edge functions are evaluated for a chunk of triangles at a time, over the
@@ -316,9 +320,10 @@ def render(shape: ShapeSpec, pose: CameraPose, size: int = IMG_SIZE) -> np.ndarr
     triangles are drawn one by one in face order. Shading is two-sided
     (|n.l|) with a constant ambient floor, modulated by the shape's
     horizontal albedo bands; pixels not covered by any triangle are the
-    background color exactly.
+    background color exactly. mesh is build_mesh(shape), for a caller that
+    renders many views of one shape.
     """
-    verts, faces = build_mesh(shape)
+    verts, faces = build_mesh(shape) if mesh is None else mesh
     bound = float(np.linalg.norm(verts, axis=1).max())
     if pose.radius <= bound:
         raise ValueError(
@@ -520,6 +525,7 @@ def base_viewpoints(n_views: int, radius: float) -> list[CameraPose]:
 
 def generate_dataset(
     out_dir=None,
+    jobs: int | None = None,
     *,
     classes: tuple[str, ...] = CLASS_KINDS,
     objects_per_class: int = 4,
@@ -543,6 +549,13 @@ def generate_dataset(
     stripes; radius jitter mostly rescales the object, and the far tail of
     that scaling pushes the finest class stripes against the raster grid's
     resolving limit where they stop being readable.
+
+    The objects and poses are drawn here; the views are rendered an object
+    at a time, on `jobs` processes (forked.resolve_jobs; at most one per
+    object). Each view depends only on its shape and pose, so every pixel
+    is the same for any jobs, and so is the first error in view order.
+    jobs is not a dataset setting: it is positional, and the CLI reads the
+    keyword-only parameters as its settings.
     """
     if not classes or not set(classes) <= set(CLASS_KINDS):
         raise ValueError(f"classes must be a non-empty list of {CLASS_KINDS}; got {list(classes)}")
@@ -556,6 +569,7 @@ def generate_dataset(
         train_views = min(views_per_object - 1, math.ceil(0.7 * views_per_object))
     if not (1 <= train_views <= views_per_object - 1):
         raise ValueError("train_views must leave at least one view in each split")
+    jobs = forked.resolve_jobs(jobs)
 
     bases = base_viewpoints(views_per_object, camera_radius)
     manifest = DatasetManifest(
@@ -564,27 +578,25 @@ def generate_dataset(
         seed=seed,
         jitter_frac=jitter_frac,
     )
-    n_views = len(classes) * objects_per_class * views_per_object
-    images = np.empty((n_views, image_size, image_size, 3))
-    nbytes = images[0].nbytes
-    object_id = 0
+    nbytes = image_size * image_size * 3 * 8
+    shapes, poses = [], []  # per object; per view, in index order
     for class_id, kind in enumerate(classes):
         for _obj in range(objects_per_class):
             obj_seed = int(
                 np.random.SeedSequence([seed, class_id, _obj]).generate_state(1)[0]
             )
-            shape = make_object(kind, class_id, obj_seed)
+            shapes.append(make_object(kind, class_id, obj_seed))
             for view_id in range(views_per_object):
                 cam_rng = np.random.Generator(
                     np.random.PCG64(np.random.SeedSequence([seed, class_id, _obj, view_id]))
                 )
                 pose = sample_camera(bases[view_id], jitter_frac, cam_rng, axis_restrict)
-                index = len(manifest.views)
-                images[index] = render(shape, pose, size=image_size)
+                index = len(poses)
+                poses.append(pose)
                 manifest.views.append(
                     {
                         "index": index,
-                        "object": object_id,
+                        "object": len(shapes) - 1,
                         "class": class_id,
                         "view": view_id,
                         "split": "train" if view_id < train_views else "test",
@@ -593,7 +605,22 @@ def generate_dataset(
                         "nbytes": nbytes,
                     }
                 )
-            object_id += 1
+
+    # an object's views sit at consecutive indices and share one mesh; a
+    # helper renders into its own copy of images and sends the rows back
+    images = np.empty((len(poses), image_size, image_size, 3))
+    views = images.reshape(len(shapes), views_per_object, *images.shape[1:])
+
+    def render_object(o):
+        mesh = build_mesh(shapes[o])
+        for v in range(views_per_object):
+            pose = poses[o * views_per_object + v]
+            views[o, v] = render(shapes[o], pose, size=image_size, mesh=mesh)
+        return views[o]
+
+    helpers = min(jobs, len(shapes)) - 1
+    with forked.Helpers(helpers, render_object, views.__setitem__, len(shapes), "renderer") as renderers:
+        renderers.run()
 
     dataset = Dataset(manifest, images)
     if out_dir is not None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from viapkit import nn
+from viapkit import forked, nn
 
 DEFAULT_EPOCHS = 30
 DEFAULT_BATCH = 16
@@ -117,15 +117,25 @@ def train(
     labels: np.ndarray,
     config: TrainConfig,
     val: tuple[np.ndarray, np.ndarray] | None = None,
+    jobs: int | None = None,
 ) -> tuple[nn.ModelParams, list[dict]]:
     """SGD with momentum over seeded per-epoch shuffles.
 
     Returns the weights of the epoch with the highest training accuracy
     (earliest epoch on ties) together with the full per-epoch log: epoch,
     mean loss, train accuracy, and (when val is given) held-out accuracy.
-    The snapshot looks at training accuracy only — the large default step
-    can tip a converged run into a dead-ReLU collapse late, and keeping the
-    best epoch makes the outcome insensitive to exactly when that happens.
+    The snapshot looks at training accuracy only. At some train seeds the
+    large default step leaves the run short of the clean gate or at chance;
+    dead conv2 channels do not tell those runs apart (9-15 of 16 are dead in
+    runs that pass and in runs that fail), and clipping the gradient norm
+    was measured to fix them. Keeping the best epoch makes the outcome
+    insensitive to a late drop.
+
+    Each epoch is scored while the next one trains: with jobs > 1 (see
+    forked.resolve_jobs) its weights go to one forked scorer process, and
+    its accuracies are collected before the next epoch's weights are handed
+    over. The log, the snapshot and the first error in epoch order are the
+    same for any jobs.
     """
     images = nn.as_f64(images)
     labels = np.asarray(labels, dtype=np.int64)
@@ -133,14 +143,18 @@ def train(
         raise ValueError("training split is empty")
     if images.shape[0] != labels.shape[0]:
         raise ValueError("images and labels disagree on example count")
+    jobs = forked.resolve_jobs(jobs)
 
     weights = {f: getattr(params, f).copy() for f in nn.PARAM_FIELDS}
     velocity = {f: np.zeros_like(w) for f, w in weights.items()}
     n = images.shape[0]
+    splits = [(images, labels)] if val is None else [(images, labels), val]
+    accs = []  # the scored epoch's accuracy on each split
     log = []
     best_acc, best_weights = -1.0, None
 
-    for epoch in range(config.epochs):
+    def run_epoch(epoch) -> float:
+        """One epoch of steps, which rebind the arrays in weights; its mean loss."""
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([config.seed, epoch]))
         )
@@ -159,19 +173,37 @@ def train(
             for f in nn.PARAM_FIELDS:
                 velocity[f] = config.momentum * velocity[f] - config.lr * getattr(grads, f)
                 weights[f] = weights[f] + velocity[f]
+        return loss_sum / n
 
-        current = params.replace_weights(**weights)
-        entry = {
-            "epoch": epoch,
-            "loss": loss_sum / n,
-            "train_acc": evaluate_clean(current, images, labels)[0],
-        }
+    def score(epoch_weights, _):
+        current = params.replace_weights(**epoch_weights)
+        return [evaluate_clean(current, *split)[0] for split in splits]
+
+    def keep(_, split_accs):
+        accs[:] = split_accs
+
+    def record(epoch, loss, epoch_weights):
+        nonlocal best_acc, best_weights
+        scorers.finish()
+        entry = {"epoch": epoch, "loss": loss, "train_acc": accs[0]}
         if val is not None:
-            entry["test_acc"] = evaluate_clean(current, val[0], val[1])[0]
+            entry["test_acc"] = accs[1]
         log.append(entry)
         if entry["train_acc"] > best_acc:
-            best_acc = entry["train_acc"]
-            best_weights = {f: w.copy() for f, w in weights.items()}
+            best_acc, best_weights = entry["train_acc"], epoch_weights
+
+    pending = None  # the epoch being scored: (epoch, loss, its weights)
+    with forked.Helpers(min(jobs, 2) - 1, score, keep, 1, "scorer") as scorers:
+        for epoch in range(config.epochs):
+            try:
+                loss = run_epoch(epoch)
+            finally:
+                # the epoch before is scored first, so its error comes first
+                if pending is not None:
+                    record(*pending)
+            pending = epoch, loss, dict(weights)
+            scorers.start(pending[2])
+        record(*pending)
 
     return params.replace_weights(**best_weights), log
 
@@ -183,7 +215,12 @@ def evaluate_clean(
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) == 0:
         raise ValueError("empty split")
-    logits = nn.forward(params, images)
+    return clean_metrics(nn.forward(params, images), labels)
+
+
+def clean_metrics(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """evaluate_clean's (top-1 accuracy, mean true-label softmax) from a split's logits."""
+    labels = np.asarray(labels, dtype=np.int64)
     probs = nn.softmax(logits)
     acc = float(np.mean(np.argmax(logits, axis=1) == labels))
     true_conf = float(np.mean(probs[np.arange(len(labels)), labels]))

@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
+from forking import children_left
 from viapkit import attacks, render, train
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process behind.
+
+    Rendering, training and the sweep fork helper processes; each must kill
+    and reap them on return, error or interrupt.
+    """
+    yield
+    if children_left():
+        pytest.fail("the test left a child process behind")
 
 
 @pytest.fixture(scope="session")

@@ -466,38 +466,70 @@ def test_closed_stdout_is_not_a_usage_error(tiny_run, unbuffered):
     assert err == b""
 
 
-def sweep_failing_in_a_crafter(tiny_run, name, failure):
-    """Run a CLI sweep in a new process whose crafter processes run `failure`.
+def failing_in_a_helper(tiny_run, name, module, function, failure, argv):
+    """Run `viapkit argv` in a new process whose helper processes run `failure`
+    when they call module.function; every stage forks at least one helper.
 
-    The main process's crafts wait until a crafter has started failing (it
+    The main process's calls wait until a helper has started failing (it
     touches a marker file), so the failure surely happens off the main process.
     """
-    root, _, ds_dir, model_dir = tiny_run
-    cfg = root / "sweep-no-gate.json"
-    cfg.write_text(json.dumps({"sweep": {"gate_train": 0.0, "gate_test": 0.0}}))
-    marker = root / f"{name}.marker"
+    marker = tiny_run[0] / f"{name}.marker"
     script = f"""
 import os, sys, time
-from viapkit import attacks, cli
+from viapkit import {module}, cli, forked
 
-real_craft, main_pid = attacks.craft, os.getpid()
+real, main_pid = {module}.{function}, os.getpid()
 
-def craft(*args, **kwargs):
+def call(*args, **kwargs):
     if os.getpid() != main_pid:
         open({str(marker)!r}, "w").close()
         {failure}
     while not os.path.exists({str(marker)!r}):
         time.sleep(0.01)
-    return real_craft(*args, **kwargs)
+    return real(*args, **kwargs)
 
-attacks.craft = craft
-sys.exit(cli.main(["sweep", "--config", {str(cfg)!r}, "--dataset", {str(ds_dir)!r},
-                   "--weights", {str(model_dir / "weights.viapnet")!r},
-                   "--family", "bim", "--eps", "0,5", "--iters", "2", "--jobs", "2",
-                   "--out", {str(root / name)!r}]))
+{module}.{function} = call
+real_jobs = forked.resolve_jobs
+forked.resolve_jobs = lambda jobs: max(real_jobs(jobs), 2)
+sys.exit(cli.main({argv!r}))
 """
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env=viapkit_env())
+
+
+def sweep_failing_in_a_crafter(tiny_run, name, failure):
+    """A CLI sweep of bim on 2 processes whose crafter processes run `failure`."""
+    root, _, ds_dir, model_dir = tiny_run
+    cfg = root / "sweep-no-gate.json"
+    cfg.write_text(json.dumps({"sweep": {"gate_train": 0.0, "gate_test": 0.0}}))
+    return failing_in_a_helper(tiny_run, name, "attacks", "craft", failure, [
+        "sweep", "--config", str(cfg), "--dataset", str(ds_dir),
+        "--weights", str(model_dir / "weights.viapnet"), "--family", "bim", "--eps", "0,5",
+        "--iters", "2", "--jobs", "2", "--out", str(root / name)])
+
+
+def usage_error(proc) -> str:
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    payload = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert payload["error"] == "usage"
+    return payload["message"]
+
+
+def test_render_error_in_a_helper_exits_2(tiny_run):
+    root, cfg, _, _ = tiny_run
+    proc = failing_in_a_helper(tiny_run, "ds-render-error", "render", "render",
+                               'raise ValueError("render failed in a helper")',
+                               ["dataset", "--config", str(cfg), "--out", str(root / "ds-error")])
+    assert usage_error(proc) == "render failed in a helper"
+
+
+def test_scoring_error_in_a_helper_exits_2(tiny_run):
+    root, cfg, ds_dir, _ = tiny_run
+    proc = failing_in_a_helper(tiny_run, "train-score-error", "train", "evaluate_clean",
+                               'raise ValueError("scoring failed in a helper")',
+                               ["train", "--config", str(cfg), "--dataset", str(ds_dir),
+                                "--out", str(root / "model-error")])
+    assert usage_error(proc) == "scoring failed in a helper"
 
 
 def test_craft_error_in_a_crafter_process_exits_2(tiny_run):
@@ -518,7 +550,7 @@ def test_crafter_process_that_dies_fails_the_sweep(tiny_run):
 
 
 def test_cli_import_loads_no_process_or_thread_pool():
-    # the sweep imports multiprocessing only when it forks crafters
+    # helpers are forked with os.fork, so no stage imports multiprocessing
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, viapkit.cli; "
          "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"],

@@ -1,10 +1,7 @@
 import dataclasses
 import json
-import multiprocessing
 import os
 import signal
-import time
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -12,7 +9,8 @@ import scipy.special
 import scipy.stats
 
 import oracles
-from viapkit import attacks, evaluate, nn, render, train
+from forking import children_left, deadline, fail_in_a_helper
+from viapkit import attacks, evaluate, forked, nn, render, train
 
 
 # --- incomplete beta / Welch -------------------------------------------------
@@ -130,6 +128,21 @@ def test_sweep_eps_zero_rows_are_clean(tiny_sweep):
     assert base_u.mean == pytest.approx(tiny_sweep.clean["test_true_softmax"], abs=1e-12)
 
 
+def test_eps_zero_cells_share_one_clean_forward_per_split(tiny_dataset, victim, monkeypatch):
+    forwards = []
+    real = nn.forward
+    monkeypatch.setattr(nn, "forward", lambda params, x: forwards.append(len(x)) or real(params, x))
+    config = evaluate.SweepConfig(eps_grid=(0.0,), gate_train=0.0, gate_test=0.0)
+    result = evaluate.confidence_sweep(victim, tiny_dataset, config=config, jobs=1)
+    assert len(result.cells) == 2 * len(config.families)
+    assert sorted(forwards) == sorted(len(tiny_dataset.indices(s)) for s in ("train", "test"))
+    # the untargeted cells are those of a forward pass of their own
+    for c in (c for c in result.cells if c.metric == "true_softmax"):
+        idx = tiny_dataset.indices(c.split)
+        probs = nn.softmax(real(victim, tiny_dataset.images[idx]))
+        assert np.array_equal(c.values, probs[np.arange(len(idx)), tiny_dataset.labels[idx]])
+
+
 def test_sweep_targets_shared_and_valid(tiny_sweep, tiny_dataset):
     ds = tiny_dataset
     for o, target in tiny_sweep.targets.items():
@@ -158,39 +171,11 @@ def test_sweep_deterministic_and_jobs_invariant(tiny_dataset, victim):
             assert got.keys() == want.keys()
             for key, pixels in got.items():
                 assert pixels.dtype == np.uint8 and np.array_equal(pixels, want[key]), key
-    assert multiprocessing.active_children() == []
-
-
-@contextmanager
-def deadline(seconds):
-    """Fail with TimeoutError instead of hanging past `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    assert not children_left()
 
 
 def fail_in_a_crafter(monkeypatch, marker, fail):
-    """Make crafts in a crafter process call fail(); the main process's crafts
-    wait until one has (it touches marker), so the failure surely happens off
-    the main process."""
-    real_craft, main_pid = attacks.craft, os.getpid()
-
-    def craft(*args, **kwargs):
-        if os.getpid() != main_pid:
-            marker.touch()
-            fail()
-        while not marker.exists():
-            time.sleep(0.01)
-        return real_craft(*args, **kwargs)
-
-    monkeypatch.setattr(attacks, "craft", craft)
+    fail_in_a_helper(monkeypatch, attacks, "craft", marker, fail)
 
 
 ONE_BIM = evaluate.SweepConfig(eps_grid=(0.0, 5.0), families=("bim",), iterations=2,
@@ -208,7 +193,7 @@ def test_craft_error_in_a_crafter_process_reaches_the_caller(
     # the exception crossed a process boundary: an equal one, not the same object
     assert type(err.value) is ValueError
     assert err.value.args == ("craft failed in a crafter process",)
-    assert multiprocessing.active_children() == []
+    assert not children_left()
 
 
 def test_unpicklable_craft_error_arrives_as_runtime_error(
@@ -222,24 +207,24 @@ def test_unpicklable_craft_error_arrives_as_runtime_error(
     fail_in_a_crafter(monkeypatch, tmp_path / "failed", fail)
     with deadline(120), pytest.raises(RuntimeError, match="LocalError.*no way back"):
         evaluate.confidence_sweep(victim, tiny_dataset, config=ONE_BIM, jobs=2)
-    assert multiprocessing.active_children() == []
+    assert not children_left()
 
 
 def test_crafter_process_that_dies_stops_the_sweep(tiny_dataset, victim, monkeypatch, tmp_path):
     fail_in_a_crafter(monkeypatch, tmp_path / "died", lambda: os._exit(3))
     with deadline(120), pytest.raises(RuntimeError, match="died with exit code 3"):
         evaluate.confidence_sweep(victim, tiny_dataset, config=ONE_BIM, jobs=2)
-    assert multiprocessing.active_children() == []
+    assert not children_left()
 
 
 def test_crafter_process_that_dies_between_cells_stops_the_next():
-    with deadline(60), evaluate._Crafters(1, lambda i: None, 2) as crafters:
+    with deadline(60), forked.Helpers(1, lambda i: None, lambda i, r: None, 2, "crafter") as crafters:
         crafters.run()
-        crafters.procs[0].kill()
-        crafters.procs[0].join()
+        os.kill(crafters.procs[0].pid, signal.SIGKILL)
+        crafters.procs[0].reap()
         with pytest.raises(RuntimeError, match="died with exit code -9"):
             crafters.run()
-    assert multiprocessing.active_children() == []
+    assert not children_left()
 
 
 def test_interrupted_sweep_leaves_no_crafter_process(tiny_dataset, victim, monkeypatch):
@@ -253,7 +238,7 @@ def test_interrupted_sweep_leaves_no_crafter_process(tiny_dataset, victim, monke
     monkeypatch.setattr(attacks, "craft", craft)
     with deadline(120), pytest.raises(KeyboardInterrupt):
         evaluate.confidence_sweep(victim, tiny_dataset, config=ONE_BIM, jobs=3)
-    assert multiprocessing.active_children() == []
+    assert not children_left()
 
 
 def test_sweep_leaves_no_stale_rows_between_families(tiny_dataset, victim):

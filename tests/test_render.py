@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from forking import deadline, fail_in_a_helper
 from viapkit import render
 
 
@@ -359,3 +361,55 @@ def test_views_too_few_rejected(monkeypatch):
     ):
         with pytest.raises(ValueError, match=message):
             render.generate_dataset(**{"objects_per_class": 1, "seed": 0, **bad})
+
+
+# --- rendering on forked helper processes ----------------------------------
+
+SMALL = {"objects_per_class": 1, "views_per_object": 4, "seed": 3}
+
+
+def test_dataset_files_same_for_any_jobs(tmp_path):
+    # 4 objects: jobs 9 asks for more processes than there are objects
+    files = {}
+    for jobs in (1, 2, 3, 9):
+        render.generate_dataset(tmp_path / f"j{jobs}", jobs, **SMALL)
+        files[jobs] = [(tmp_path / f"j{jobs}" / name).read_bytes()
+                       for name in ("images.f64", "manifest.json")]
+    for jobs in (2, 3, 9):
+        assert files[jobs] == files[1], jobs
+
+
+def test_each_object_builds_its_mesh_once(monkeypatch):
+    built = []
+    real = render.build_mesh
+    monkeypatch.setattr(render, "build_mesh", lambda spec: built.append(spec) or real(spec))
+    render.generate_dataset(None, 1, **SMALL)
+    assert len(built) == 4 and len(set(built)) == 4
+
+
+def test_render_error_in_a_helper_reaches_the_caller(monkeypatch, tmp_path):
+    def fail():
+        raise ValueError("render failed in a helper")
+
+    fail_in_a_helper(monkeypatch, render, "render", tmp_path / "failed", fail)
+    with deadline(120), pytest.raises(ValueError) as err:
+        render.generate_dataset(None, 2, **SMALL)
+    assert type(err.value) is ValueError
+    assert err.value.args == ("render failed in a helper",)
+
+
+def test_renderer_that_dies_stops_the_dataset(monkeypatch, tmp_path):
+    fail_in_a_helper(monkeypatch, render, "render", tmp_path / "died", lambda: os._exit(3))
+    with deadline(120), pytest.raises(RuntimeError, match="renderer process .* died with exit code 3"):
+        render.generate_dataset(None, 2, **SMALL)
+
+
+def test_camera_inside_an_object_reads_the_same_for_any_jobs():
+    # every object fails, each with its own bounding radius; the message is
+    # the first object's, as rendering in view order gives it
+    messages = set()
+    for jobs in (1, 2, 3):
+        with pytest.raises(ValueError, match="is inside the object") as err:
+            render.generate_dataset(None, jobs, camera_radius=0.5, **SMALL)
+        messages.add(str(err.value))
+    assert len(messages) == 1

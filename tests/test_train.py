@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from forking import deadline, fail_in_a_helper
 from viapkit import nn, train
 
 
@@ -144,3 +147,76 @@ def test_clean_gate_on_default_dataset(default_dataset, victim):
     te_acc, _ = train.evaluate_clean(victim, ds.images[ds.indices("test")], ds.labels[ds.indices("test")])
     assert tr_acc >= 0.95
     assert te_acc >= 0.90
+
+
+# --- scoring on a forked helper while the next epoch trains -----------------
+
+def test_training_same_for_any_jobs(rng):
+    x, y = toy_data(rng, n=40)
+    p0 = train.init_params(2, height=8, width=8)
+    cfg = train.TrainConfig(epochs=4, seed=3)
+    runs = {jobs: train.train(p0, x[:32], y[:32], cfg, val=(x[32:], y[32:]), jobs=jobs)
+            for jobs in (1, 2, 3, 5)}  # 5: more processes than the two splits
+    params_1, log_1 = runs[1]
+    for jobs, (params, log) in runs.items():
+        assert train.log_csv(log) == train.log_csv(log_1), jobs
+        for f in nn.PARAM_FIELDS:
+            assert np.array_equal(getattr(params, f), getattr(params_1, f)), (jobs, f)
+
+
+def test_scoring_error_in_a_helper_reaches_the_caller(rng, monkeypatch, tmp_path):
+    def fail():
+        raise ValueError("scoring failed in a helper")
+
+    x, y = toy_data(rng)
+    fail_in_a_helper(monkeypatch, train, "evaluate_clean", tmp_path / "failed", fail)
+    with deadline(120), pytest.raises(ValueError) as err:
+        train.train(train.init_params(0, height=8, width=8), x, y,
+                    train.TrainConfig(epochs=2), val=(x, y), jobs=2)
+    assert type(err.value) is ValueError
+    assert err.value.args == ("scoring failed in a helper",)
+
+
+def test_scorer_that_dies_stops_training(rng, monkeypatch, tmp_path):
+    x, y = toy_data(rng)
+    fail_in_a_helper(monkeypatch, train, "evaluate_clean", tmp_path / "died", lambda: os._exit(3))
+    with deadline(120), pytest.raises(RuntimeError, match="scorer process .* died with exit code 3"):
+        train.train(train.init_params(0, height=8, width=8), x, y,
+                    train.TrainConfig(epochs=2), val=(x, y), jobs=2)
+
+
+@pytest.mark.parametrize("scoring_fails", [True, False])
+def test_training_failures_come_in_epoch_order(rng, monkeypatch, scoring_fails):
+    # epoch 1's steps fail while epoch 0 is being scored: one process trains
+    # epoch 0, scores it, then fails in epoch 1, so a failing score of epoch
+    # 0 must win; of the two splits, the training split's error comes first
+    x, y = toy_data(rng)
+    batches = -(-len(y) // train.DEFAULT_BATCH)
+    real_grad, real_eval = nn.loss_and_param_grad, train.evaluate_clean
+    steps = []
+
+    def grad(*args):
+        steps.append(None)
+        if len(steps) > batches:
+            raise ValueError("step failed")
+        return real_grad(*args)
+
+    def evaluate_clean(params, images, labels):
+        if scoring_fails:
+            raise ValueError(f"scoring {len(labels)} rows failed")
+        return real_eval(params, images, labels)
+
+    monkeypatch.setattr(nn, "loss_and_param_grad", grad)
+    monkeypatch.setattr(train, "evaluate_clean", evaluate_clean)
+    raised = []
+    for jobs in (1, 2, 3):
+        steps.clear()
+        with deadline(120), pytest.raises(Exception) as err:
+            train.train(train.init_params(0, height=8, width=8), x, y,
+                        train.TrainConfig(epochs=3), val=(x[:8], y[:8]), jobs=jobs)
+        raised.append((type(err.value), str(err.value)))
+    if scoring_fails:
+        assert raised[0] == (ValueError, f"scoring {len(y)} rows failed")
+    else:
+        assert raised[0] == (train.TrainingDiverged, "training diverged at epoch 1: step failed")
+    assert raised == raised[:1] * 3
