@@ -17,7 +17,7 @@ import pickle
 import struct
 import sys
 
-# the length before each pickled message, and the value the counter pipe holds
+# the length before each pickled message
 _WORD = struct.Struct("=Q")
 
 
@@ -94,30 +94,30 @@ class Helpers:
     """This process and `helpers` forked ones, calling work(*args, i) for every i < n.
 
     Every result comes back to this process, which stores it with
-    keep(i, result). The helpers are forked when the context is
-    entered, so they share everything this process holds then. start(*args)
-    sends args down each helper's pipe; then every process takes indices in
-    order from one counter, which lives in a pipe that holds its value. A
-    helper pickles its results back once no index is left, one message per
-    index, so this process holds one result of theirs at a time. finish()
-    takes what is left on this process, then reads every helper's results;
-    between the two, this process may do other work. run(*args) is start
-    then finish.
+    keep(i, result). The helpers are forked when the context is entered,
+    so they share everything this process holds then. The indices are
+    split once among the helpers + 1 processes: helper k takes every i with
+    i % (helpers + 1) == k and this process takes the rest, so with
+    n <= helpers it takes none. start(*args) sends args down each helper's
+    pipe; a helper works through its indices in order, then pickles its
+    results back, one message per index, so this process holds one result
+    of theirs at a time. finish() works through this process's indices,
+    then reads every helper's results; between the two, this process may
+    do other work. run(*args) is start then finish.
 
-    A failing index sets the counter past n, so the others stop after their
-    current index; every lower index was taken before it and finishes.
-    finish() raises the exception of the lowest failing index, the one a
-    loop over i in order would have raised first, with its type and args
-    (one that does not pickle arrives as a RuntimeError carrying its repr).
-    A helper that died raises a RuntimeError naming it. Leaving the context
+    Each process stops at its first failing index; the others finish their
+    own share. finish() raises the exception of the lowest failing index,
+    the one a loop over i in order would have raised first (every lower
+    index came before it on its own process), with its type and args (one
+    that does not pickle arrives as a RuntimeError carrying its repr). A
+    helper that died raises a RuntimeError naming it. Leaving the context
     kills and reaps every helper. With no helpers nothing is forked and
-    finish() calls work and keep in order.
+    this process takes every index.
     """
 
     def __init__(self, helpers: int, work, keep, n: int, name: str = "helper"):
         self.helpers, self.work, self.keep, self.n, self.name = helpers, work, keep, n, name
         self.procs: list[_Helper] = []
-        self.counter = None  # (read end, write end)
         self.args = ()
 
     def __enter__(self):
@@ -128,8 +128,6 @@ class Helpers:
             with contextlib.suppress(OSError):
                 stream.flush()
         try:
-            self.counter = os.pipe()
-            os.write(self.counter[1], _WORD.pack(self.n))
             for _ in range(self.helpers):
                 self._fork()
         except BaseException:
@@ -148,11 +146,9 @@ class Helpers:
             os.close(proc.command)
             os.close(proc.answer)
         self.procs = []
-        for fd in self.counter or ():
-            os.close(fd)
-        self.counter = None
 
     def _fork(self) -> None:
+        k = len(self.procs)
         command, answer = os.pipe(), os.pipe()
         pid = os.fork()
         if pid == 0:
@@ -166,7 +162,7 @@ class Helpers:
                 for fd in (command[1], answer[0], *(fd for p in self.procs
                                                      for fd in (p.command, p.answer))):
                     os.close(fd)
-                self._serve(command[0], answer[1])
+                self._serve(k, command[0], answer[1])
                 code = 0
             finally:
                 os._exit(code)
@@ -184,9 +180,6 @@ class Helpers:
 
     def start(self, *args) -> None:
         self.args = args
-        if not self.procs:
-            return
-        self._swap(lambda i: 0)  # every helper is idle: none holds the counter
         for proc in self.procs:
             try:
                 _send(proc.command, args)
@@ -194,11 +187,6 @@ class Helpers:
                 raise self._died(proc) from None
 
     def finish(self) -> None:
-        args = self.args
-        if not self.procs:
-            for i in range(self.n):
-                self.keep(i, self.work(*args, i))
-            return
         failures = []
 
         def take(i, ok, value):
@@ -207,7 +195,7 @@ class Helpers:
             else:
                 failures.append((i, value))
 
-        for answer in self._drain(args, Exception):
+        for answer in self._drain(self.helpers, self.args, Exception):
             take(*answer)
         for proc in self.procs:
             for answer in iter(lambda: self._answer(proc), None):
@@ -222,41 +210,26 @@ class Helpers:
         except EOFError:  # a helper that dies closes its end of the pipe
             raise self._died(proc) from None
 
-    def _swap(self, update) -> int:
-        """Take the counter's value, leave update(value) in its place; return the value."""
-        head = bytearray(_WORD.size)
-        _read_into(self.counter[0], head)
-        (value,) = _WORD.unpack(head)
-        os.write(self.counter[1], _WORD.pack(update(value)))
-        return value
-
-    def _drain(self, args, catch):
-        """Call work on indices from the counter until none is left; yield (i, ok, result).
+    def _drain(self, k, args, catch):
+        """Call work on process k's indices in order; yield (i, ok, result).
 
         An exception of type catch is yielded as (i, False, exception) and
-        ends the drain; any other propagates. Either way the counter is set
-        past n first, so the other processes stop.
+        ends the drain; any other propagates.
         """
-        while True:
-            i = self._swap(lambda i: i + 1)
-            if i >= self.n:
-                return
+        for i in range(k, self.n, self.helpers + 1):
             try:
                 result = self.work(*args, i)
-            except BaseException as exc:
-                self._swap(lambda i: self.n)
-                if not isinstance(exc, catch):
-                    raise
+            except catch as exc:
                 yield i, False, exc
                 return
             yield i, True, result
 
-    def _serve(self, command: int, answer: int) -> None:
-        """A helper's loop: drain for each args received, then send its results and None."""
+    def _serve(self, k: int, command: int, answer: int) -> None:
+        """Helper k's loop: drain for each args received, then send its results and None."""
         try:
             while True:
                 args = _recv(command)
-                done = list(self._drain(args, BaseException))
+                done = list(self._drain(k, args, BaseException))
                 for i, ok, value in done:
                     _send(answer, (i, ok, value if ok else _portable(value, self.name)))
                 _send(answer, None)

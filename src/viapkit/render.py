@@ -37,12 +37,7 @@ CLASS_KINDS = ("cube", "sphere", "cone", "torus")
 # huge-amplitude cues that no small-epsilon noise can touch; keeping every
 # discriminative feature within a few gray levels of the background is what
 # makes the attack phenomenology of interest reachable at all.
-BASE_ALBEDO = {
-    "cube": (0.898, 0.898, 0.898),
-    "sphere": (0.898, 0.898, 0.898),
-    "cone": (0.898, 0.898, 0.898),
-    "torus": (0.898, 0.898, 0.898),
-}
+BASE_ALBEDO = (0.898, 0.898, 0.898)
 
 # Per-class banding period (world units along z). The bands are horizontal —
 # functions of object-space z only — so they read the same from every azimuth
@@ -87,7 +82,7 @@ class ShapeSpec:
 
 
 def make_object(kind: str, class_id: int, seed: int) -> ShapeSpec:
-    """Instance a shape with seeded size/albedo jitter around the class base.
+    """Instance a shape with seeded size/albedo jitter around BASE_ALBEDO.
 
     The band period is the class's; size and the slight albedo tint are
     per-object and carry no class information. Band placement is nominally
@@ -96,8 +91,7 @@ def make_object(kind: str, class_id: int, seed: int) -> ShapeSpec:
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     size = float(rng.uniform(0.95, 1.05))
-    base = np.array(BASE_ALBEDO[kind])
-    albedo = np.clip(base + rng.uniform(-0.002, 0.002, size=3), 0.05, 0.95)
+    albedo = np.clip(np.array(BASE_ALBEDO) + rng.uniform(-0.002, 0.002, size=3), 0.05, 0.95)
     return ShapeSpec(
         class_id=class_id,
         kind=kind,

@@ -152,8 +152,8 @@ def test_sweep_targets_shared_and_valid(tiny_sweep, tiny_dataset):
 
 
 def test_sweep_deterministic_and_jobs_invariant(tiny_dataset, victim):
-    # objects are crafted on jobs processes (capped at the 4 objects) that
-    # take them from one shared counter
+    # objects are crafted on jobs processes (capped at the 4 objects), each
+    # taking every jobs-th object
     config = evaluate.SweepConfig(
         eps_grid=(0.0, 5.0), families=("viap", "bim"), iterations=2,
         gate_train=0.0, gate_test=0.0,
