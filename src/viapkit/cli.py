@@ -426,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset_required=False):
+    def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default=None, help="output directory")

@@ -271,12 +271,11 @@ def confidence_sweep(
     gradient sign per object and direction (attacks.clean_sign).
 
     Objects are independent, so each (family, eps) crafts them on `jobs`
-    processes (forked.resolve_jobs; at most one per object): this one and
-    jobs - 1 crafters forked once per sweep, after the clean signs are
+    processes (forked.Helpers; never more crafters than objects): this one
+    and the crafters, forked once per sweep after the clean signs are
     taken. Scoring stays on this process. Every output bit is the same for
     any jobs.
     """
-    jobs = forked.resolve_jobs(jobs)
     train_idx = dataset.indices("train")
     test_idx = dataset.indices("test")
     x_tr, y_tr = dataset.images[train_idx], dataset.labels[train_idx]
@@ -349,8 +348,7 @@ def confidence_sweep(
     def keep_object(i, views):
         adv_tr[tr_pos[objects[i]]], adv_te[te_pos[objects[i]]] = views
 
-    helpers = min(jobs, len(objects)) - 1
-    with forked.Helpers(helpers, craft_object, keep_object, len(objects), "crafter") as crafters:
+    with forked.Helpers(jobs, craft_object, keep_object, len(objects), "crafter") as crafters:
         for family, eps in itertools.product(config.families, config.eps_grid):
             if eps == 0.0:
                 probs_tr, probs_te = clean_probs["train"], clean_probs["test"]

@@ -1,12 +1,13 @@
 """Work split over this process and helper processes forked from it.
 
 Rendering, training and the sweep each hand independent pieces of work to
-helpers forked once per call. A helper shares everything its parent held
-when it was forked; only the arguments of each round and the results go
-through pipes, pickled. The helpers are plain os.fork children talking over
-os.pipe, so nothing here imports multiprocessing, and a helper costs this
-process no shared memory of its own: every result lands in this process's
-own arrays, where the work would have written it on one process.
+helpers forked once per call; Helpers alone decides how many. A helper
+shares everything its parent held when it was forked; only the arguments
+of each round and the results go through pipes, as pickle streams. The
+helpers are plain os.fork children talking over os.pipe, so nothing here
+imports multiprocessing, and a helper costs this process no shared memory
+of its own: every result lands in this process's own arrays, where the
+work would have written it on one process.
 """
 
 from __future__ import annotations
@@ -14,11 +15,7 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
-import struct
 import sys
-
-# the length before each pickled message
-_WORD = struct.Struct("=Q")
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -38,34 +35,9 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _read_into(fd: int, buf) -> None:
-    """Fill buf from fd; EOFError if every writer closed it first."""
-    view = memoryview(buf)
-    while view:
-        got = os.readv(fd, [view])
-        if got == 0:
-            raise EOFError
-        view = view[got:]
-
-
-def _write_all(fd: int, data) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _send(fd: int, obj) -> None:
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    _write_all(fd, _WORD.pack(len(data)))
-    _write_all(fd, data)
-
-
-def _recv(fd: int):
-    head = bytearray(_WORD.size)
-    _read_into(fd, head)
-    body = bytearray(_WORD.unpack(head)[0])
-    _read_into(fd, body)
-    return pickle.loads(body)
+def _send(file, obj) -> None:
+    pickle.dump(obj, file, protocol=pickle.HIGHEST_PROTOCOL)
+    file.flush()
 
 
 def _portable(exc: BaseException, name: str) -> BaseException:
@@ -78,9 +50,9 @@ def _portable(exc: BaseException, name: str) -> BaseException:
 
 
 class _Helper:
-    """A forked helper: its pid, the pipe ends this process keeps, its exit code once reaped."""
+    """A forked helper: its pid, the pipe files this process keeps, its exit code once reaped."""
 
-    def __init__(self, pid: int, command: int, answer: int):
+    def __init__(self, pid: int, command, answer):
         self.pid, self.command, self.answer = pid, command, answer
         self.exitcode = None
 
@@ -91,19 +63,21 @@ class _Helper:
 
 
 class Helpers:
-    """This process and `helpers` forked ones, calling work(*args, i) for every i < n.
+    """work(*args, i) for every i < n, on `jobs` processes: this one and helpers forked from it.
 
-    Every result comes back to this process, which stores it with
-    keep(i, result). The helpers are forked when the context is entered,
-    so they share everything this process holds then. The indices are
-    split once among the helpers + 1 processes: helper k takes every i with
-    i % (helpers + 1) == k and this process takes the rest, so with
-    n <= helpers it takes none. start(*args) sends args down each helper's
-    pipe; a helper works through its indices in order, then pickles its
-    results back, one message per index, so this process holds one result
-    of theirs at a time. finish() works through this process's indices,
-    then reads every helper's results; between the two, this process may
-    do other work. run(*args) is start then finish.
+    jobs is the process count the caller asks for (resolve_jobs; None means
+    every core). This process forks min(jobs - 1, n) helpers, so never more
+    helpers than work items. Every result comes back to this process, which
+    stores it with keep(i, result). The helpers are forked when the context
+    is entered, so they share everything this process holds then. The
+    indices are split once among the helpers + 1 processes: helper k takes
+    every i with i % (helpers + 1) == k and this process takes the rest, so
+    with n <= helpers it takes none. start(*args) sends args down each
+    helper's pipe; a helper works through its indices in order, then pickles
+    its results back, one message per index, so this process holds one
+    result of theirs at a time. finish() works through this process's
+    indices, then reads every helper's results; between the two, this
+    process may do other work. run(*args) is start then finish.
 
     Each process stops at its first failing index; the others finish their
     own share. finish() raises the exception of the lowest failing index,
@@ -115,8 +89,9 @@ class Helpers:
     this process takes every index.
     """
 
-    def __init__(self, helpers: int, work, keep, n: int, name: str = "helper"):
-        self.helpers, self.work, self.keep, self.n, self.name = helpers, work, keep, n, name
+    def __init__(self, jobs: int | None, work, keep, n: int, name: str = "helper"):
+        self.helpers = min(resolve_jobs(jobs) - 1, n)
+        self.work, self.keep, self.n, self.name = work, keep, n, name
         self.procs: list[_Helper] = []
         self.args = ()
 
@@ -143,8 +118,10 @@ class Helpers:
                 os.kill(proc.pid, signal.SIGKILL)
         for proc in self.procs:
             proc.reap()
-            os.close(proc.command)
-            os.close(proc.answer)
+            # a command cut off by a dead helper cannot be flushed; the fd still closes
+            with contextlib.suppress(BrokenPipeError):
+                proc.command.close()
+            proc.answer.close()
         self.procs = []
 
     def _fork(self) -> None:
@@ -158,17 +135,18 @@ class Helpers:
 
                 # ^C reaches the main process, which kills us
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
-                # so that our pipes read EOF, or fail to write, once the main process is gone
-                for fd in (command[1], answer[0], *(fd for p in self.procs
-                                                     for fd in (p.command, p.answer))):
+                # so that our pipes read EOF, or fail to write, once the main process is gone;
+                # the other helpers' files are closed by fd, since flushing them here must not happen
+                for fd in (command[1], answer[0], *(f.fileno() for p in self.procs
+                                                     for f in (p.command, p.answer))):
                     os.close(fd)
-                self._serve(k, command[0], answer[1])
+                self._serve(k, open(command[0], "rb"), open(answer[1], "wb"))
                 code = 0
             finally:
                 os._exit(code)
         os.close(command[0])
         os.close(answer[1])
-        self.procs.append(_Helper(pid, command[1], answer[0]))
+        self.procs.append(_Helper(pid, open(command[1], "wb"), open(answer[0], "rb")))
 
     def _died(self, proc: _Helper) -> RuntimeError:
         proc.reap()
@@ -206,8 +184,9 @@ class Helpers:
     def _answer(self, proc: _Helper):
         """The helper's next message: (i, ok, result or exception), or None after its last."""
         try:
-            return _recv(proc.answer)
-        except EOFError:  # a helper that dies closes its end of the pipe
+            return pickle.load(proc.answer)
+        # a helper that dies closes its end of the pipe, between messages or within one
+        except (EOFError, pickle.UnpicklingError):
             raise self._died(proc) from None
 
     def _drain(self, k, args, catch):
@@ -224,15 +203,15 @@ class Helpers:
                 return
             yield i, True, result
 
-    def _serve(self, k: int, command: int, answer: int) -> None:
+    def _serve(self, k: int, commands, answers) -> None:
         """Helper k's loop: drain for each args received, then send its results and None."""
         try:
             while True:
-                args = _recv(command)
+                args = pickle.load(commands)
                 done = list(self._drain(k, args, BaseException))
                 for i, ok, value in done:
-                    _send(answer, (i, ok, value if ok else _portable(value, self.name)))
-                _send(answer, None)
+                    _send(answers, (i, ok, value if ok else _portable(value, self.name)))
+                _send(answers, None)
                 del done
-        except (EOFError, BrokenPipeError):  # the main process is gone
+        except (EOFError, pickle.UnpicklingError, BrokenPipeError):  # the main process is gone
             return

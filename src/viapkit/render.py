@@ -64,9 +64,7 @@ class ShapeSpec:
     size: float = 1.0
     albedo: tuple = (0.8, 0.8, 0.8)
     band_period: float = 0.45   # world-z spacing of the albedo bands
-    band_phase: float = 0.0
-    band_amp: float = BAND_AMPLITUDE
-    seed: int = 0  # records which jitter draw produced size/albedo/phase
+    seed: int = 0  # records which jitter draw produced size/albedo
 
     def __post_init__(self):
         if self.kind not in CLASS_KINDS:
@@ -77,8 +75,6 @@ class ShapeSpec:
             raise ValueError("albedo components must lie in [0,1]")
         if not (self.band_period > 0.0):
             raise ValueError("band_period must be positive")
-        if not (0.0 <= self.band_amp < 1.0):
-            raise ValueError("band_amp must lie in [0, 1)")
 
 
 def make_object(kind: str, class_id: int, seed: int) -> ShapeSpec:
@@ -395,7 +391,7 @@ def render(
         w0 * (vz[:, 0] / z0[f]) + w1 * (vz[:, 1] / z1[f]) + w2 * (vz[:, 2] / z2[f])
     ) / area2[f]
     oz = zbuf[pi, pj] * hz
-    band = np.sin(2.0 * np.pi * oz / shape.band_period + shape.band_phase)
+    band = np.sin(2.0 * np.pi * oz / shape.band_period)
 
     light = np.asarray(LIGHT_CAM)
     light = light / np.linalg.norm(light)
@@ -407,7 +403,7 @@ def render(
     n /= np.sqrt(n[:, None, :] @ n[:, :, None])[:, 0]
     shade = AMBIENT + (1.0 - AMBIENT) * np.abs((n[:, None, :] @ light[:, None])[:, 0, 0])
     color = np.asarray(shape.albedo)[None, :] * (
-        shade[face_of] * (1.0 + shape.band_amp * band)
+        shade[face_of] * (1.0 + BAND_AMPLITUDE * band)
     )[:, None]
     img[pi, pj] = np.clip(color, 0.0, 1.0)
     return img
@@ -442,11 +438,14 @@ class DatasetManifest:
     def validate(self) -> None:
         per_object: dict[int, set] = {}
         seen = set()
-        for rec in self.views:
+        for i, rec in enumerate(self.views):
             key = (rec["object"], rec["view"])
             if key in seen:
                 raise ValueError(f"duplicate (object, view) pair {key}")
             seen.add(key)
+            if type(rec["class"]) is not int or not 0 <= rec["class"] < len(self.classes):
+                raise ValueError(f"view record {i}: class {rec['class']!r} is not an int "
+                                 f"in [0, {len(self.classes)})")
             if rec["split"] not in ("train", "test"):
                 raise ValueError(f"bad split tag {rec['split']!r}")
             per_object.setdefault(rec["object"], set()).add(rec["split"])
@@ -545,8 +544,8 @@ def generate_dataset(
     resolving limit where they stop being readable.
 
     The objects and poses are drawn here; the views are rendered an object
-    at a time, on `jobs` processes (forked.resolve_jobs; at most one per
-    object). Each view depends only on its shape and pose, so every pixel
+    at a time, on `jobs` processes (forked.Helpers; never more helpers than
+    objects). Each view depends only on its shape and pose, so every pixel
     is the same for any jobs, and so is the first error in view order.
     jobs is not a dataset setting: it is positional, and the CLI reads the
     keyword-only parameters as its settings.
@@ -563,7 +562,6 @@ def generate_dataset(
         train_views = min(views_per_object - 1, math.ceil(0.7 * views_per_object))
     if not (1 <= train_views <= views_per_object - 1):
         raise ValueError("train_views must leave at least one view in each split")
-    jobs = forked.resolve_jobs(jobs)
 
     bases = base_viewpoints(views_per_object, camera_radius)
     manifest = DatasetManifest(
@@ -612,8 +610,7 @@ def generate_dataset(
             views[o, v] = render(shapes[o], pose, size=image_size, mesh=mesh)
         return views[o]
 
-    helpers = min(jobs, len(shapes)) - 1
-    with forked.Helpers(helpers, render_object, views.__setitem__, len(shapes), "renderer") as renderers:
+    with forked.Helpers(jobs, render_object, views.__setitem__, len(shapes), "renderer") as renderers:
         renderers.run()
 
     dataset = Dataset(manifest, images)

@@ -132,7 +132,7 @@ def train(
     insensitive to a late drop.
 
     Each epoch is scored while the next one trains: with jobs > 1 (see
-    forked.resolve_jobs) its weights go to one forked scorer process, and
+    forked.Helpers) its weights go to one forked scorer process, and
     its accuracies are collected before the next epoch's weights are handed
     over. The log, the snapshot and the first error in epoch order are the
     same for any jobs.
@@ -143,7 +143,6 @@ def train(
         raise ValueError("training split is empty")
     if images.shape[0] != labels.shape[0]:
         raise ValueError("images and labels disagree on example count")
-    jobs = forked.resolve_jobs(jobs)
 
     weights = {f: getattr(params, f).copy() for f in nn.PARAM_FIELDS}
     velocity = {f: np.zeros_like(w) for f, w in weights.items()}
@@ -193,7 +192,7 @@ def train(
             best_acc, best_weights = entry["train_acc"], epoch_weights
 
     pending = None  # the epoch being scored: (epoch, loss, its weights)
-    with forked.Helpers(min(jobs, 2) - 1, score, keep, 1, "scorer") as scorers:
+    with forked.Helpers(jobs, score, keep, 1, "scorer") as scorers:
         for epoch in range(config.epochs):
             try:
                 loss = run_epoch(epoch)

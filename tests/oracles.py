@@ -288,8 +288,8 @@ def render_reference(shape: render.ShapeSpec, pose: render.CameraPose,
             w0 * (verts[f0, 2] / z0) + w1 * (verts[f1, 2] / z1) + w2 * (verts[f2, 2] / z2)
         ) / area2
         oz = depth[sel] * hz[sel]
-        band = np.sin(2.0 * np.pi * oz / shape.band_period + shape.band_phase)
-        color = albedo[None, :] * (shade * (1.0 + shape.band_amp * band))[:, None]
+        band = np.sin(2.0 * np.pi * oz / shape.band_period)
+        color = albedo[None, :] * (shade * (1.0 + render.BAND_AMPLITUDE * band))[:, None]
 
         zsub[sel] = depth[sel]
         img[i0 : i1 + 1, j0 : j1 + 1][sel] = np.clip(color, 0.0, 1.0)

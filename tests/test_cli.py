@@ -437,6 +437,26 @@ def test_malformed_weights_are_usage_errors(tiny_run, tmp_path, capsys):
         assert str(bad) in last_error(capsys)["message"]
 
 
+@pytest.mark.parametrize("label", [4, -1])
+def test_class_id_outside_the_classes_is_a_usage_error(tiny_run, tmp_path, capsys, label):
+    _, _, ds_dir, model_dir = tiny_run
+    bad = tmp_path / "ds"
+    bad.mkdir()
+    (bad / "images.f64").write_bytes((ds_dir / "images.f64").read_bytes())
+    manifest = json.loads((ds_dir / "manifest.json").read_text())
+    for rec in manifest["views"]:
+        if rec["object"] == 0:
+            rec["class"] = label
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    for argv in (
+        ["sweep", "--family", "fgsm", "--eps", "0,2", "--weights", str(model_dir / "weights.viapnet")],
+        ["train"],
+    ):
+        rc = cli.main(argv + ["--dataset", str(bad), "--out", str(tmp_path / argv[0])])
+        assert rc == cli.EXIT_USAGE
+        assert "malformed dataset" in last_error(capsys)["message"]
+
+
 def viapkit_env(**extra) -> dict:
     """The environment of a child process that imports this viapkit."""
     src = str(Path(viapkit.__file__).resolve().parent.parent)

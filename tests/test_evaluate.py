@@ -218,7 +218,7 @@ def test_crafter_process_that_dies_stops_the_sweep(tiny_dataset, victim, monkeyp
 
 
 def test_crafter_process_that_dies_between_cells_stops_the_next():
-    with deadline(60), forked.Helpers(1, lambda i: None, lambda i, r: None, 2, "crafter") as crafters:
+    with deadline(60), forked.Helpers(2, lambda i: None, lambda i, r: None, 2, "crafter") as crafters:
         crafters.run()
         os.kill(crafters.procs[0].pid, signal.SIGKILL)
         crafters.procs[0].reap()

@@ -206,8 +206,6 @@ def test_shape_spec_validation():
     with pytest.raises(ValueError):
         render.ShapeSpec(0, "cube", 1.0, (0.5, 0.5, 0.5), band_period=0.0, seed=0)
     with pytest.raises(ValueError):
-        render.ShapeSpec(0, "cube", 1.0, (0.5, 0.5, 0.5), band_amp=1.5, seed=0)
-    with pytest.raises(ValueError):
         render.ShapeSpec(0, "cube", 1.0, (1.5, 0.5, 0.5), seed=0)
 
 
@@ -298,6 +296,9 @@ def test_load_rejects_missing_or_ill_typed_manifest_fields(tmp_path, tiny_datase
         {**good, "views": [list(r.values()) for r in good["views"]]},
         {**good, "views": [{k: v for k, v in r.items() if k != "class"} for r in good["views"]]},
     ]
+    # object 0 labelled past the last class, or before the first
+    bad += [{**good, "views": [{**r, "class": c} if r["object"] == 0 else r for r in good["views"]]}
+            for c in (len(good["classes"]), -1)]
     for manifest in bad:
         (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="malformed dataset"):
