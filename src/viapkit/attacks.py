@@ -52,8 +52,8 @@ class AttackConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown attack family {self.family!r}; know {FAMILIES}")
-        if not (self.eps >= 0.0):
-            raise ValueError("eps must be >= 0")
+        if not (0.0 <= self.eps < math.inf):
+            raise ValueError(f"eps must be finite and >= 0; got {self.eps}")
         iters = self.iterations
         if iters is None:
             iters = 1 if self.family in SINGLE_STEP_FAMILIES else DEFAULT_ITERATIONS
@@ -62,10 +62,10 @@ class AttackConfig:
             raise ValueError("iterations must be >= 1")
         if self.family in SINGLE_STEP_FAMILIES and iters != 1:
             raise ValueError(f"{self.family} is single-step; iterations must be 1")
-        if not (self.rho >= 0.0):
-            raise ValueError("rho must be >= 0")
-        if self.step is not None and not (self.step > 0.0):
-            raise ValueError("explicit step must be positive")
+        if not (0.0 <= self.rho <= 1.0):
+            raise ValueError(f"rho must be >= 0 and <= 1 (image units); got {self.rho}")
+        if self.step is not None and not (0.0 < self.step < math.inf):
+            raise ValueError(f"explicit step must be positive and finite; got {self.step}")
         if self.eps > 0.0 and not (self.step_unit > 0.0):
             raise ValueError("resolved step is not positive")
 

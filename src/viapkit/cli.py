@@ -224,13 +224,18 @@ def cmd_attack(args) -> int:
     out = args.out or "runs/attack"
     _echo_config(cfg, out)
 
-    ds = render.load_dataset(args.dataset)
-    params = nn.load_params(args.weights)
     family = cfg["family"]
     eps = cfg["eps"] if isinstance(cfg["eps"], list) else [cfg["eps"]]
     if len(eps) != 1:
         raise ValueError(f"attack crafts at one eps; got {eps} (use sweep for a grid)")
     eps = float(eps[0])
+    # a bad setting fails here, before the dataset and weights load; target and seed come later
+    acfg = attacks.AttackConfig(**{
+        **{f.name: cfg[f.name] for f in dataclasses.fields(attacks.AttackConfig)},
+        "eps": eps, "target": None,
+    })
+    ds = render.load_dataset(args.dataset)
+    params = nn.load_params(args.weights)
     o = cfg["object"]
     tr = ds.indices("train", object_id=o)
     te = ds.indices("test", object_id=o)
@@ -247,10 +252,8 @@ def cmd_attack(args) -> int:
             target = int(cfg["target"])
 
     # derive the init seed as the sweep does, so an attack reproduces its sweep cell
-    acfg = attacks.AttackConfig(**{
-        **{f.name: cfg[f.name] for f in dataclasses.fields(attacks.AttackConfig)},
-        "eps": eps, "target": target, "seed": evaluate.attack_seed(cfg["seed"], family, eps, o),
-    })
+    acfg = dataclasses.replace(
+        acfg, target=target, seed=evaluate.attack_seed(cfg["seed"], family, eps, o))
 
     adv, delta = attacks.craft(params, imgs, lbls, acfg)
     loss, _ = nn.softmax_cross_entropy(nn.forward(params, adv), attacks.loss_labels(acfg, lbls))
@@ -321,7 +324,9 @@ def cmd_sweep(args) -> int:
         print(f"no Welch t-tests: ttest_eps {scfg.ttest_eps:g} is not on the eps grid")
     for t in result.ttests:
         print(f"t-test {t.label}: t={t.t:.4f} df={t.df:.2f} p={t.p_value:.3e}")
-    print(f"wrote {len(result.cells)} cells to {out}: {', '.join(files)}")
+    reports = [f for f in files if not f.startswith("samples/")]
+    print(f"wrote {len(result.cells)} cells to {out}: {', '.join(reports)}, "
+          f"and {len(files) - len(reports)} sample images in samples/")
     return EXIT_OK
 
 

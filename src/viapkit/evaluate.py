@@ -270,11 +270,12 @@ def confidence_sweep(
     split that the gate reads. The per-image families share one clean-view
     gradient sign per object and direction (attacks.clean_sign).
 
-    Objects are independent, so each (family, eps) crafts them on `jobs`
-    processes (forked.Helpers; never more crafters than objects): this one
-    and the crafters, forked once per sweep after the clean signs are
-    taken. Scoring stays on this process. Every output bit is the same for
-    any jobs.
+    Objects are independent, so the sweep is one work list of every
+    (family, eps > 0, object), run in one round on `jobs` processes
+    (forked.Helpers): this one and the crafters, forked after the clean
+    signs are taken. Each item crafts its object, scores its own views and
+    sends back their softmax rows and sample pixels, never the views. Every
+    output bit, and the order of samples, is the same for any jobs.
     """
     train_idx = dataset.indices("train")
     test_idx = dataset.indices("test")
@@ -328,38 +329,41 @@ def confidence_sweep(
         for o in objects for tgt in directions if max(config.eps_grid) > 0
     }
 
-    # the objects partition both splits, so every (family, eps > 0) writes
-    # every row of one buffer pair
-    adv_tr, adv_te = np.empty_like(x_tr), np.empty_like(x_te)
+    # the work list: every (family, eps > 0, object), objects innermost; each
+    # item crafts its object and scores its own views on the process it ran on
+    work = [(family, eps, o) for family, eps in itertools.product(config.families, config.eps_grid)
+            if eps > 0.0 for o in objects]
+    probs = {(f, e): (np.empty((len(y_tr), k)), np.empty((len(y_te), k))) for f, e, _ in work}
+    samples = [None] * len(work)
 
-    def craft_object(family, eps, i):
-        o = objects[i]
-        pos_t, pos_e = tr_pos[o], te_pos[o]
+    def craft_and_score(i):
+        family, eps, o = work[i]
         cfg = config.attack_config(
             family, eps, target=targets[o] if attacks.targeted(family) else None,
             seed=attack_seed(config.seed, family, eps, o),
         )
         adv, delta = attacks.craft(
-            params, x_tr[pos_t], y_tr[pos_t], cfg,
+            params, x_tr[tr_pos[o]], y_tr[tr_pos[o]], cfg,
             first_sign=clean_signs.get((o, attacks.targeted(family))),
         )
-        return adv, attacks.apply_delta(delta, x_te[pos_e])
+        adv_te = attacks.apply_delta(delta, x_te[te_pos[o]])
+        return (nn.softmax(nn.forward(params, adv)), nn.softmax(nn.forward(params, adv_te)),
+                {(family, float(eps), int(test_idx[p])): ppm_pixels(adv_te[j])
+                 for j, p in enumerate(te_pos[o]) if p in sample_pos})
 
-    def keep_object(i, views):
-        adv_tr[tr_pos[objects[i]]], adv_te[te_pos[objects[i]]] = views
+    def keep(i, scored):
+        family, eps, o = work[i]
+        probs_tr, probs_te = probs[(family, eps)]
+        probs_tr[tr_pos[o]], probs_te[te_pos[o]], samples[i] = scored
 
-    with forked.Helpers(jobs, craft_object, keep_object, len(objects), "crafter") as crafters:
-        for family, eps in itertools.product(config.families, config.eps_grid):
-            if eps == 0.0:
-                probs_tr, probs_te = clean_probs["train"], clean_probs["test"]
-            else:
-                crafters.run(family, eps)
-                probs_tr = nn.softmax(nn.forward(params, adv_tr))
-                probs_te = nn.softmax(nn.forward(params, adv_te))
-                for p in sample_pos:
-                    result.samples[(family, float(eps), int(test_idx[p]))] = ppm_pixels(adv_te[p])
-            result.cells.append(_make_cell(family, eps, "train", probs_tr, y_tr, tgt_tr))
-            result.cells.append(_make_cell(family, eps, "test", probs_te, y_te, tgt_te))
+    with forked.Helpers(jobs, craft_and_score, keep, len(work), "crafter") as crafters:
+        crafters.run()
+    for found in samples:
+        result.samples.update(found)
+    for family, eps in itertools.product(config.families, config.eps_grid):
+        probs_tr, probs_te = probs.get((family, eps), (clean_probs["train"], clean_probs["test"]))
+        result.cells.append(_make_cell(family, eps, "train", probs_tr, y_tr, tgt_tr))
+        result.cells.append(_make_cell(family, eps, "test", probs_te, y_te, tgt_te))
 
     result.ttests = _sweep_ttests(result)
     return result

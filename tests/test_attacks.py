@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -36,6 +37,23 @@ def test_config_validation():
         attacks.AttackConfig("viap", 5.0, rho=-0.1)
     with pytest.raises(ValueError):
         attacks.AttackConfig("bim", 5.0, iterations=0)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("eps", math.inf, "eps must be finite"),
+    ("eps", math.nan, "eps must be finite"),
+    ("step", math.inf, "step must be positive and finite"),
+    ("step", math.nan, "step must be positive and finite"),
+    ("rho", math.inf, "rho must be >= 0 and <= 1"),
+    ("rho", 1e308, "rho must be >= 0 and <= 1"),
+    ("rho", 1.5, "rho must be >= 0 and <= 1"),
+    ("rho", math.nan, "rho must be >= 0 and <= 1"),
+])
+def test_config_rejects_non_finite_or_out_of_range_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        attacks.AttackConfig("viap", **{"eps": 5.0, field: value})
+    # the edges of the ranges stay valid
+    attacks.AttackConfig("viap", 255.0, step=1e300, rho=1.0)
 
 
 def test_config_iteration_defaults():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -344,6 +345,11 @@ def test_ill_typed_config_value_is_usage_error(tmp_path, capsys, command, cfg, k
     ({"sweep": {"eps_grid": [0, 3, 3]}}, [], "eps_grid repeats a value"),
     ({}, ["--jobs", "0"], "jobs must be >= 1"),
     ({}, ["--jobs", "-2"], "jobs must be >= 1"),
+    ({"sweep": {"rho": math.inf}}, [], "rho must be >= 0 and <= 1"),
+    ({"sweep": {"rho": 1e308}}, [], "rho must be >= 0 and <= 1"),
+    ({"sweep": {"step": math.inf}}, [], "step must be positive and finite"),
+    ({"sweep": {"eps_grid": [0, math.inf]}}, [], "eps must be finite"),
+    ({}, ["--eps", "0,inf"], "eps must be finite"),
 ])
 def test_sweep_rejects_bad_settings_before_any_work(tmp_path, capsys, cfg, flags, message):
     path = tmp_path / "cfg.json"
@@ -421,6 +427,35 @@ def test_attack_rejects_an_eps_list(tiny_run, capsys):
     assert rc == cli.EXIT_USAGE
     assert "1.0, 3.0, 5.0" in last_error(capsys)["message"]
     assert not (out / "delta.viapdlt").exists()
+
+
+def test_attack_at_infinite_eps_is_a_usage_error(tiny_run, capsys):
+    root, _, ds_dir, model_dir = tiny_run
+    out = root / "atk-eps-inf"
+    rc = cli.main([
+        "attack", "--dataset", str(ds_dir), "--weights", str(model_dir / "weights.viapnet"),
+        "--family", "bim", "--eps", "inf", "--out", str(out),
+    ])
+    assert rc == cli.EXIT_USAGE
+    assert "eps must be finite" in last_error(capsys)["message"]
+    assert not (out / "delta.viapdlt").exists()
+
+
+def test_sweep_ends_with_a_count_per_kind_of_file(tiny_run, capsys):
+    root, _, ds_dir, model_dir = tiny_run
+    cfg, out = root / "s-closing-line.json", root / "s-closing-line"
+    cfg.write_text(json.dumps({"sweep": {"gate_train": 0.0, "gate_test": 0.0}}))
+    assert cli.main([
+        "sweep", "--config", str(cfg), "--dataset", str(ds_dir),
+        "--weights", str(model_dir / "weights.viapnet"), "--family", "fgsm,viap",
+        "--eps", "0,3", "--iters", "1", "--out", str(out),
+    ]) == cli.EXIT_OK
+    # one clean view per class, and one per class for each (family, eps > 0)
+    assert len(list((out / "samples").iterdir())) == 4 + 2 * 4
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"wrote 8 cells to {out}: report.csv, report.json, summary.csv, "
+        "and 12 sample images in samples/"
+    )
 
 
 def test_malformed_weights_are_usage_errors(tiny_run, tmp_path, capsys):

@@ -152,8 +152,8 @@ def test_sweep_targets_shared_and_valid(tiny_sweep, tiny_dataset):
 
 
 def test_sweep_deterministic_and_jobs_invariant(tiny_dataset, victim):
-    # objects are crafted on jobs processes (capped at the 4 objects), each
-    # taking every jobs-th object
+    # the 8 (family, eps > 0, object) items are split over jobs processes
+    # (never more helpers than items), each taking every jobs-th item
     config = evaluate.SweepConfig(
         eps_grid=(0.0, 5.0), families=("viap", "bim"), iterations=2,
         gate_train=0.0, gate_test=0.0,
@@ -172,6 +172,53 @@ def test_sweep_deterministic_and_jobs_invariant(tiny_dataset, victim):
             for key, pixels in got.items():
                 assert pixels.dtype == np.uint8 and np.array_equal(pixels, want[key]), key
     assert not children_left()
+
+
+def test_each_object_is_scored_as_attack_scores_it(tiny_dataset, victim):
+    # a cell's rows for an object are the softmax of that object's crafted
+    # training views (train) and of its delta on its test views (test)
+    ds, eps = tiny_dataset, 3.0
+    config = evaluate.SweepConfig(eps_grid=(0.0, eps), iterations=2, gate_train=0.0, gate_test=0.0)
+    sweep = evaluate.confidence_sweep(victim, ds, config=config, jobs=2)
+    for family in config.families:
+        for o in ds.objects():
+            tr, te = ds.indices("train", object_id=o), ds.indices("test", object_id=o)
+            target = sweep.targets[o] if attacks.targeted(family) else None
+            cfg = config.attack_config(family, eps, target=target,
+                                       seed=evaluate.attack_seed(config.seed, family, eps, o))
+            adv, delta = attacks.craft(victim, ds.images[tr], ds.labels[tr], cfg)
+            tracked = int(ds.labels[tr][0]) if target is None else target
+            for split, idx, views in (("train", tr, adv),
+                                      ("test", te, attacks.apply_delta(delta, ds.images[te]))):
+                probs = nn.softmax(nn.forward(victim, views))
+                rows = np.searchsorted(ds.indices(split), idx)
+                cell = sweep.cell(family, eps, split)
+                assert np.array_equal(cell.values[rows], probs[:, tracked]), (family, o, split)
+                assert np.array_equal(cell.correct[rows], probs.argmax(axis=1) == ds.labels[idx])
+
+
+def test_sweep_scores_each_object_with_one_forward_per_split(tiny_dataset, victim, monkeypatch):
+    forwards = []
+    real = nn.forward
+    monkeypatch.setattr(nn, "forward", lambda params, x: forwards.append(len(x)) or real(params, x))
+    ds, positive = tiny_dataset, (3.0, 5.0)
+    config = evaluate.SweepConfig(eps_grid=(0.0, *positive), families=("fgsm", "viap-t"),
+                                  iterations=2, gate_train=0.0, gate_test=0.0)
+    evaluate.confidence_sweep(victim, ds, config=config, jobs=1)  # counted here alone
+    clean = [len(ds.indices(split)) for split in ("train", "test")]
+    per_item = [len(ds.indices(split, object_id=o))
+                for _ in config.families for _ in positive for o in ds.objects()
+                for split in ("train", "test")]
+    assert forwards == clean + per_item
+
+
+def test_sample_order_is_the_same_for_any_jobs(tiny_dataset, victim):
+    config = evaluate.SweepConfig(eps_grid=(0.0, 3.0, 5.0), families=("fgsm", "viap"),
+                                  iterations=2, gate_train=0.0, gate_test=0.0)
+    orders = [list(evaluate.confidence_sweep(victim, tiny_dataset, config=config, jobs=j).samples)
+              for j in (1, 2, 3, 9)]
+    assert len(orders[0]) == 2 * 2 * tiny_dataset.n_classes
+    assert all(order == orders[0] for order in orders)
 
 
 def fail_in_a_crafter(monkeypatch, marker, fail):
@@ -193,6 +240,22 @@ def test_craft_error_in_a_crafter_process_reaches_the_caller(
     # the exception crossed a process boundary: an equal one, not the same object
     assert type(err.value) is ValueError
     assert err.value.args == ("craft failed in a crafter process",)
+    assert not children_left()
+
+
+def test_scoring_error_in_a_crafter_process_reaches_the_caller(
+        tiny_dataset, victim, monkeypatch, tmp_path):
+    def fail():
+        raise ValueError("scoring failed in a crafter process")
+
+    marker = tmp_path / "failed"
+    # the clean forwards run on this process before any crafter exists: let them through
+    marker.touch()
+    fail_in_a_helper(monkeypatch, nn, "forward", marker, fail)
+    with deadline(120), pytest.raises(ValueError) as err:
+        evaluate.confidence_sweep(victim, tiny_dataset, config=ONE_BIM, jobs=2)
+    assert type(err.value) is ValueError
+    assert err.value.args == ("scoring failed in a crafter process",)
     assert not children_left()
 
 
@@ -242,8 +305,8 @@ def test_interrupted_sweep_leaves_no_crafter_process(tiny_dataset, victim, monke
 
 
 def test_sweep_leaves_no_stale_rows_between_families(tiny_dataset, victim):
-    # every (family, eps > 0) overwrites one shared buffer pair: bim's cells
-    # after viap's must be those of a bim-only sweep
+    # each (family, eps > 0) fills its own probability arrays, object by
+    # object: bim's cells after viap's must be those of a bim-only sweep
     config = dict(eps_grid=(0.0, 3.0, 5.0), iterations=2, gate_train=0.0, gate_test=0.0)
     both = evaluate.confidence_sweep(
         victim, tiny_dataset, config=evaluate.SweepConfig(families=("viap", "bim"), **config))
