@@ -291,7 +291,8 @@ def cmd_sweep(args) -> int:
         DEFAULT_SWEEP_CFG, SETTING_TYPES["sweep"], file_cfg.get("sweep", {}),
         {
             "eps_grid": args.eps, "iterations": args.iters,
-            "families": args.family.split(",") if args.family else None,
+            "families": None if args.family is None else [
+                tok for tok in args.family.split(",") if tok.strip() != ""],
             "literal_eq_step": True if args.literal_eq_step else None,
         },
     )

@@ -153,6 +153,8 @@ class SweepConfig:
         object.__setattr__(self, "families", tuple(self.families))
         if len(self.eps_grid) == 0 or not all(e >= 0 for e in self.eps_grid):
             raise ValueError("eps grid must be non-empty and non-negative")
+        if len(self.families) == 0:
+            raise ValueError("families must be non-empty")
         for name, values in (("eps_grid", self.eps_grid), ("families", self.families)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats a value: {list(values)}")

@@ -10,6 +10,9 @@ Each relu -> maxpool pair runs as one maxpool2 call that pools first and
 applies relu to the 4x smaller pooled array; relu is monotone, so the values
 and routes are those of pooling the relu output, bit for bit. Every zero the
 network pools is +0.0, even where a conv output is -0.0.
+
+conv2d and conv2d_input_grad build their im2col patch matrices in L2-sized
+blocks of whole images, in per-process scratch that every call reuses.
 """
 
 from __future__ import annotations
@@ -44,6 +47,20 @@ def as_f64(arr) -> np.ndarray:
 # Layer primitives
 # ---------------------------------------------------------------------------
 
+# Most bytes of patch matrix in one conv block; a block holds at least one image.
+BLOCK_BYTES = 1 << 20
+# Block scratch for one thread at a time, grown on demand: fresh block-sized
+# temporaries would fault their pages in on every call. No result views it.
+_scratch = {"padded": np.empty(0), "cols": np.empty(0)}
+
+
+def _scratch_view(name: str, shape: tuple) -> np.ndarray:
+    size = math.prod(shape)
+    if _scratch[name].size < size:
+        _scratch[name] = np.empty(size)
+    return _scratch[name][:size].reshape(shape)
+
+
 def _patches(x: np.ndarray) -> np.ndarray:
     """3x3 zero-padded patch matrix of an NHWC batch: (B, H, W, 9*C).
 
@@ -59,10 +76,28 @@ def _patches(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows).reshape(b, h, w, -1)
 
 
+def _conv_blocks(x: np.ndarray, w2d: np.ndarray) -> np.ndarray:
+    """_patches(x) @ w2d, (B, H, W, 9*C) @ (9*C, N), built and multiplied a block at a time."""
+    b, h, w, c = x.shape
+    n = min(b, max(1, BLOCK_BYTES // (h * w * w2d.shape[0] * x.itemsize)))
+    padded = _scratch_view("padded", (n, h + 2, w + 2, c))
+    padded[:, :: h + 1] = padded[:, :, :: w + 1] = 0.0  # the border rows, then columns
+    cols = _scratch_view("cols", (n, h, w, KERNEL, KERNEL * c))
+    s = padded.strides
+    rows = np.ndarray(cols.shape, padded.dtype, padded, 0, (s[0], s[1], s[2], s[1], s[3]))
+    out = np.empty((b, h, w, w2d.shape[1]))
+    for i in range(0, b, n):
+        m = min(n, b - i)
+        padded[:m, 1:-1, 1:-1] = x[i : i + m]
+        np.copyto(cols[:m], rows[:m])
+        # a GEMM per image row, as unblocked: BLAS rounds a row by its tile place
+        np.matmul(cols[:m].reshape(m, h, w, -1), w2d, out=out[i : i + m])
+    return out
+
+
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stride-1, zero-padded ("same") 3x3 convolution. w is (3, 3, Cin, Cout)."""
-    cols = _patches(x)
-    out = cols @ w.reshape(-1, w.shape[-1])
+    out = _conv_blocks(x, w.reshape(-1, w.shape[-1]))
     out += b
     return out
 
@@ -70,14 +105,14 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def conv2d_input_grad(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Gradient of conv2d w.r.t. its input: correlate dy with the flipped kernel."""
     w_flip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
-    cols = _patches(dy)
-    return cols @ w_flip.reshape(-1, w_flip.shape[-1])
+    return _conv_blocks(dy, w_flip.reshape(-1, w_flip.shape[-1]))
 
 
 def conv2d_param_grad(x: np.ndarray, dy: np.ndarray, cout: int) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of conv2d w.r.t. kernel and bias."""
+    # one whole-batch GEMM: a reduction over row blocks would change its bits
     cols = _patches(x)
-    dw = np.tensordot(cols, dy, axes=([0, 1, 2], [0, 1, 2]))
+    dw = cols.reshape(-1, cols.shape[-1]).T @ dy.reshape(-1, cout)
     dw = dw.reshape(KERNEL, KERNEL, x.shape[-1], cout)
     db = dy.sum(axis=(0, 1, 2))
     return dw, db
@@ -305,8 +340,8 @@ def forward_graph(params: ModelParams, batch: np.ndarray) -> Graph:
 
 
 # Most rows per forward_graph call in forward(). Inference needs no recorded
-# graph, so a large batch runs its conv stages in blocks: conv1's patch
-# matrix and the kept activations then scale with the block, not the batch.
+# graph, so a large batch runs its conv stages in blocks: the activations
+# kept then scale with the block, not the batch.
 FORWARD_BLOCK = 16
 
 

@@ -350,6 +350,8 @@ def test_ill_typed_config_value_is_usage_error(tmp_path, capsys, command, cfg, k
     ({"sweep": {"step": math.inf}}, [], "step must be positive and finite"),
     ({"sweep": {"eps_grid": [0, math.inf]}}, [], "eps must be finite"),
     ({}, ["--eps", "0,inf"], "eps must be finite"),
+    ({}, ["--family", ""], "families must be non-empty"),
+    ({"sweep": {"families": []}}, [], "families must be non-empty"),
 ])
 def test_sweep_rejects_bad_settings_before_any_work(tmp_path, capsys, cfg, flags, message):
     path = tmp_path / "cfg.json"

@@ -258,9 +258,22 @@ def test_patches_match_pad_reference(rng, shape):
     assert_same_bits(nn._patches(x), oracles.patches_reference(x))
 
 
-@pytest.mark.parametrize("batch,hw", [(1, (9, 11)), (7, (32, 32)), (112, (13, 32))])
-def test_graph_matches_reference_kernels(rng, batch, hw):
+@pytest.mark.parametrize("batch,hw,block_bytes", [
+    pytest.param(1, (9, 11), None, id="1-hw0"),
+    pytest.param(7, (32, 32), None, id="7-hw1"),
+    pytest.param(112, (13, 32), None, id="112-hw2"),
+    # conv blocks split the batch mid-way: conv1 forward 3+3+1 images,
+    # conv2 forward 4+3, conv2 input grad 2+2+2+1
+    pytest.param(7, (32, 32), 3 * 32 * 32 * 27 * 8, id="7-hw1-split-blocks"),
+    # every image's patch matrix is larger than a block
+    pytest.param(7, (32, 32), 8, id="7-hw1-image-over-block"),
+    # odd H and W: conv1 forward 2+2+1 images, conv2 forward 3+2
+    pytest.param(5, (9, 11), 2 * 9 * 11 * 27 * 8, id="5-9x11-split-blocks"),
+])
+def test_graph_matches_reference_kernels(rng, monkeypatch, batch, hw, block_bytes):
     # pooled relu and the pooled relu mask against the full-resolution path
+    if block_bytes is not None:
+        monkeypatch.setattr(nn, "BLOCK_BYTES", block_bytes)
     h, w = hw
     feat = (h // 4) * (w // 4) * nn.CONV2_CHANNELS
     u = lambda *s: rng.uniform(-0.5, 0.5, size=s)
@@ -285,6 +298,25 @@ def test_graph_matches_reference_kernels(rng, batch, hw):
         assert_same_bits(a, b)
     # the batch holds windows with no positive value at both pools
     assert (graph.p1 == 0.0).any() and (graph.p2 == 0.0).any()
+
+
+def test_conv_scratch_never_leaks_into_results(rng):
+    params = rand_params(rng, hw=32)
+    x, other = rng.uniform(0, 1, size=(2, 7, 32, 32, 3))
+    dlogits = rng.standard_normal((7, 4))
+    graph = nn.forward_graph(params, x)
+    dx, grads = graph.backward(dlogits, need_params=True)
+    logits = nn.forward(params, x)
+    results = {f"graph.{k}": v for k, v in vars(graph).items() if isinstance(v, np.ndarray)}
+    results.update({f"grads.{k}": v for k, v in vars(grads).items()}, dx=dx, logits=logits)
+    kept = {k: v.copy() for k, v in results.items()}
+    # a different batch of the same shape reuses the scratch in place
+    nn.forward_graph(params, other).backward(dlogits, need_params=True)
+    nn.forward(params, other)
+    for name, arr in results.items():
+        assert_same_bits(arr, kept[name])
+        assert not any(np.shares_memory(arr, buf) for buf in nn._scratch.values()), name
+    assert_same_bits(logits, nn.forward(params, x))
 
 
 @pytest.mark.parametrize("batch", [1, 7])
