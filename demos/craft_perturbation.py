@@ -35,9 +35,8 @@ def main():
     if args.weights:
         params = nn.load_params(args.weights)
     else:
-        tr = ds.indices("train")
-        params, _ = train_mod.train(train_mod.init_params(0), ds.images[tr],
-                                    ds.labels[tr], train_mod.TrainConfig())
+        params, _ = train_mod.train(train_mod.init_params(0), ds.images, ds.labels,
+                                    train_mod.TrainConfig(), ds.indices("train"))
 
     tr = ds.indices("train", object_id=args.object)
     te = ds.indices("test", object_id=args.object)

@@ -22,9 +22,8 @@ def main():
 
     ds = render.generate_dataset(None, args.jobs, seed=7)
     tr, te = ds.indices("train"), ds.indices("test")
-    params, _ = train_mod.train(train_mod.init_params(0), ds.images[tr], ds.labels[tr],
-                                train_mod.TrainConfig(), val=(ds.images[te], ds.labels[te]),
-                                jobs=args.jobs)
+    params, _ = train_mod.train(train_mod.init_params(0), ds.images, ds.labels,
+                                train_mod.TrainConfig(), tr, te, jobs=args.jobs)
 
     cfg = evaluate.SweepConfig(iterations=args.iters)
     result = evaluate.confidence_sweep(params, ds, config=cfg, jobs=args.jobs)

@@ -22,16 +22,15 @@ def main():
 
     params = train_mod.init_params(args.train_seed)
     cfg = train_mod.TrainConfig(epochs=args.epochs, seed=args.train_seed)
-    params, log = train_mod.train(params, ds.images[tr], ds.labels[tr], cfg,
-                                  val=(ds.images[te], ds.labels[te]))
+    params, log = train_mod.train(params, ds.images, ds.labels, cfg, tr, te)
 
     for entry in log:
         if entry["epoch"] % 5 == 0 or entry["epoch"] == len(log) - 1:
             print(f"epoch {entry['epoch']:>2}  loss {entry['loss']:.4f}  "
                   f"train {entry['train_acc']:.3f}  test {entry['test_acc']:.3f}")
 
-    acc_tr, conf_tr = train_mod.evaluate_clean(params, ds.images[tr], ds.labels[tr])
-    acc_te, conf_te = train_mod.evaluate_clean(params, ds.images[te], ds.labels[te])
+    acc_tr, conf_tr = train_mod.evaluate_clean(params, ds.images, ds.labels, tr)
+    acc_te, conf_te = train_mod.evaluate_clean(params, ds.images, ds.labels, te)
     print(f"\nfinal: train top-1 {acc_tr:.4f} (softmax {conf_tr:.3f}), "
           f"test top-1 {acc_te:.4f} (softmax {conf_te:.3f})")
 

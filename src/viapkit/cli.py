@@ -170,18 +170,13 @@ def cmd_dataset(args) -> int:
     return EXIT_OK
 
 
-def _splits(ds) -> tuple:
-    """Copies of ds's ((train images, labels), (test images, labels))."""
-    return tuple((ds.images[i], ds.labels[i]) for i in (ds.indices("train"), ds.indices("test")))
-
-
 def _train_and_save(
-    config: train_mod.TrainConfig, splits: tuple, n_classes: int, out, jobs: int | None = None
+    config: train_mod.TrainConfig, ds: render.Dataset, out, jobs: int | None = None
 ) -> nn.ModelParams:
-    """Train the victim on the train split; write weights.viapnet and train_log.csv."""
-    (x_tr, y_tr), test = splits
-    params = train_mod.init_params(config.seed, *x_tr.shape[1:], n_classes)
-    params, log = train_mod.train(params, x_tr, y_tr, config, val=test, jobs=jobs)
+    """Train the victim on ds's train split; write weights.viapnet and train_log.csv."""
+    params = train_mod.init_params(config.seed, *ds.images.shape[1:], ds.n_classes)
+    params, log = train_mod.train(params, ds.images, ds.labels, config, ds.indices("train"),
+                                  ds.indices("test"), jobs=jobs)
     os.makedirs(out, exist_ok=True)
     nn.save_params(params, os.path.join(out, "weights.viapnet"))
     with open(os.path.join(out, "train_log.csv"), "w") as fh:
@@ -197,14 +192,9 @@ def cmd_train(args) -> int:
     tcfg = train_mod.TrainConfig(**cfg)
 
     ds = render.load_dataset(args.dataset)
-    n_classes, splits = ds.n_classes, _splits(ds)
-    # the splits are copies: dropping the full image array keeps one copy of
-    # each pixel in memory while training
-    del ds
-    params = _train_and_save(tcfg, splits, n_classes, out)
-    (x_tr, y_tr), (x_te, y_te) = splits
-    acc_tr, conf_tr = train_mod.evaluate_clean(params, x_tr, y_tr)
-    acc_te, conf_te = train_mod.evaluate_clean(params, x_te, y_te)
+    params = _train_and_save(tcfg, ds, out)
+    acc_tr, conf_tr = train_mod.evaluate_clean(params, ds.images, ds.labels, ds.indices("train"))
+    acc_te, conf_te = train_mod.evaluate_clean(params, ds.images, ds.labels, ds.indices("test"))
     print(f"final train acc {acc_tr:.4f} (true softmax {conf_tr:.4f}), "
           f"test acc {acc_te:.4f} (true softmax {conf_te:.4f})")
     print(f"wrote weights.viapnet and train_log.csv to {out}")
@@ -313,8 +303,7 @@ def cmd_sweep(args) -> int:
     if args.weights:
         params = nn.load_params(args.weights)
     else:
-        params = _train_and_save(
-            tcfg, _splits(ds), ds.n_classes, os.path.join(out, "model"), jobs)
+        params = _train_and_save(tcfg, ds, os.path.join(out, "model"), jobs)
 
     result = evaluate.confidence_sweep(params, ds, config=scfg, jobs=jobs)
     files = evaluate.emit_report(result, result.ttests, out)

@@ -278,17 +278,21 @@ def confidence_sweep(
     signs are taken. Each item crafts its object, scores its own views and
     sends back their softmax rows and sample pixels, never the views. Every
     output bit, and the order of samples, is the same for any jobs.
+
+    Views are read from dataset.images by row when a stage needs them: the
+    clean forward a block at a time (nn.forward), and each craft its
+    object's views. No split of the images is copied.
     """
+    images = dataset.images
     train_idx = dataset.indices("train")
     test_idx = dataset.indices("test")
-    x_tr, y_tr = dataset.images[train_idx], dataset.labels[train_idx]
-    x_te, y_te = dataset.images[test_idx], dataset.labels[test_idx]
+    y_tr, y_te = dataset.labels[train_idx], dataset.labels[test_idx]
     k = dataset.n_classes
 
     # one clean forward per split serves the gate and every eps = 0 cell
     clean, clean_probs = {}, {}
-    for split, x, y in (("train", x_tr, y_tr), ("test", x_te, y_te)):
-        logits = nn.forward(params, x)
+    for split, idx, y in (("train", train_idx, y_tr), ("test", test_idx, y_te)):
+        logits = nn.forward(params, images, idx)
         clean[f"{split}_acc"], clean[f"{split}_true_softmax"] = train.clean_metrics(logits, y)
         clean_probs[split] = nn.softmax(logits)
     if clean["train_acc"] < config.gate_train or clean["test_acc"] < config.gate_test:
@@ -301,8 +305,11 @@ def confidence_sweep(
     obj_label = {o: int(dataset.labels[dataset.indices(object_id=o)][0]) for o in objects}
     targets = {o: draw_target(config.seed, o, obj_label[o], k) for o in objects}
 
+    # an object's views: positions in each split, and rows of images
     tr_pos = {o: np.flatnonzero(dataset.object_ids[train_idx] == o) for o in objects}
     te_pos = {o: np.flatnonzero(dataset.object_ids[test_idx] == o) for o in objects}
+    tr_rows = {o: train_idx[tr_pos[o]] for o in objects}
+    te_rows = {o: test_idx[te_pos[o]] for o in objects}
     tgt_tr = np.array([targets[int(o)] for o in dataset.object_ids[train_idx]], dtype=np.int64)
     tgt_te = np.array([targets[int(o)] for o in dataset.object_ids[test_idx]], dtype=np.int64)
 
@@ -318,7 +325,7 @@ def confidence_sweep(
         split_indices={"train": train_idx.tolist(), "test": test_idx.tolist()},
     )
     for p in sample_pos:
-        result.samples_clean[int(test_idx[p])] = ppm_pixels(x_te[p])
+        result.samples_clean[int(test_idx[p])] = ppm_pixels(images[test_idx[p]])
 
     # fgsm's step and bim's first step take the sign of the gradient at the
     # clean training views, the same at every eps: one call per object and
@@ -326,7 +333,8 @@ def confidence_sweep(
     directions = {attacks.targeted(f) for f in config.families if f not in attacks.VIAP_FAMILIES}
     clean_signs = {
         (o, tgt): attacks.clean_sign(
-            params, x_tr[tr_pos[o]], np.full(len(tr_pos[o]), targets[o]) if tgt else y_tr[tr_pos[o]]
+            params, images[tr_rows[o]],
+            np.full(len(tr_pos[o]), targets[o]) if tgt else y_tr[tr_pos[o]],
         )
         for o in objects for tgt in directions if max(config.eps_grid) > 0
     }
@@ -345,10 +353,10 @@ def confidence_sweep(
             seed=attack_seed(config.seed, family, eps, o),
         )
         adv, delta = attacks.craft(
-            params, x_tr[tr_pos[o]], y_tr[tr_pos[o]], cfg,
+            params, images[tr_rows[o]], y_tr[tr_pos[o]], cfg,
             first_sign=clean_signs.get((o, attacks.targeted(family))),
         )
-        adv_te = attacks.apply_delta(delta, x_te[te_pos[o]])
+        adv_te = attacks.apply_delta(delta, images[te_rows[o]])
         return (nn.softmax(nn.forward(params, adv)), nn.softmax(nn.forward(params, adv_te)),
                 {(family, float(eps), int(test_idx[p])): ppm_pixels(adv_te[j])
                  for j, p in enumerate(te_pos[o]) if p in sample_pos})

@@ -12,7 +12,8 @@ and routes are those of pooling the relu output, bit for bit. Every zero the
 network pools is +0.0, even where a conv output is -0.0.
 
 conv2d and conv2d_input_grad build their im2col patch matrices in L2-sized
-blocks of whole images, in per-process scratch that every call reuses.
+blocks of whole images, and conv2d_param_grad builds its whole-batch one, in
+per-process scratch that every call reuses.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def as_f64(arr) -> np.ndarray:
 
 # Most bytes of patch matrix in one conv block; a block holds at least one image.
 BLOCK_BYTES = 1 << 20
-# Block scratch for one thread at a time, grown on demand: fresh block-sized
+# Patch scratch for one thread at a time, grown on demand: fresh patch-matrix
 # temporaries would fault their pages in on every call. No result views it.
 _scratch = {"padded": np.empty(0), "cols": np.empty(0)}
 
@@ -62,18 +63,21 @@ def _scratch_view(name: str, shape: tuple) -> np.ndarray:
 
 
 def _patches(x: np.ndarray) -> np.ndarray:
-    """3x3 zero-padded patch matrix of an NHWC batch: (B, H, W, 9*C).
+    """3x3 zero-padded patch matrix of an NHWC batch: (B, H, W, 9*C), a view of the scratch.
 
     Patch columns are ordered (row, col, channel) to match a reshaped
     (3, 3, C, out) kernel. The 3 pixels x C channels of one kernel row are
     contiguous in the padded image, so one strided view covers every patch.
     """
     b, h, w, c = x.shape
-    padded = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
+    padded = _scratch_view("padded", (b, h + 2, w + 2, c))
+    padded[:, :: h + 1] = padded[:, :, :: w + 1] = 0.0  # the border rows, then columns
     padded[:, 1:-1, 1:-1] = x
     s = padded.strides
     rows = as_strided(padded, (b, h, w, KERNEL, KERNEL * c), (s[0], s[1], s[2], s[1], s[3]))
-    return np.ascontiguousarray(rows).reshape(b, h, w, -1)
+    cols = _scratch_view("cols", rows.shape)
+    np.copyto(cols, rows)
+    return cols.reshape(b, h, w, -1)
 
 
 def _conv_blocks(x: np.ndarray, w2d: np.ndarray) -> np.ndarray:
@@ -311,7 +315,7 @@ class Graph:
         return dx, grads
 
 
-def _check_batch(params: ModelParams, batch: np.ndarray) -> np.ndarray:
+def _check_batch(params: ModelParams, batch: np.ndarray, finite: bool = True) -> np.ndarray:
     batch = as_f64(batch)
     if batch.ndim != 4:
         raise ValueError(f"batch must be 4-D (B, H, W, C); got shape {batch.shape}")
@@ -322,7 +326,8 @@ def _check_batch(params: ModelParams, batch: np.ndarray) -> np.ndarray:
         )
     if batch.shape[0] < 1:
         raise ValueError("batch must contain at least one example")
-    require_finite("batch", batch)
+    if finite:
+        require_finite("batch", batch)
     return batch
 
 
@@ -345,18 +350,23 @@ def forward_graph(params: ModelParams, batch: np.ndarray) -> Graph:
 FORWARD_BLOCK = 16
 
 
-def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Class logits for a batch, shape (B, K); equal to forward_graph's bit for bit.
+def forward(params: ModelParams, batch: np.ndarray, rows=None) -> np.ndarray:
+    """Class logits for batch[rows] (every row if rows is None), shape (len(rows), K).
 
-    The conv stages run on ceil(B / FORWARD_BLOCK) near-equal blocks of rows,
-    none of them a single row unless B is 1. The dense layer then runs once on
-    all rows, because BLAS picks its GEMM kernel by size: per-block dense
-    products would round differently from a whole-batch one (seen at B >= 245).
+    Equal to forward_graph's on those rows, bit for bit. The conv stages run
+    on ceil(len(rows) / FORWARD_BLOCK) near-equal blocks of rows, none of
+    them a single row unless there is one row. A block's rows are read from
+    batch when it runs, so batch may be a whole dataset's images. The dense
+    layer then runs once on all rows, because BLAS picks its GEMM kernel by
+    size: per-block dense products would round differently from a
+    whole-batch one (seen at B >= 245).
     """
-    x = _check_batch(params, batch)
-    blocks = np.array_split(x, -(-x.shape[0] // FORWARD_BLOCK))
+    x = _check_batch(params, batch, finite=False)  # each block is checked as it runs
+    n = x.shape[0] if rows is None else len(rows)
+    parts = np.array_split(np.arange(n) if rows is None else rows, -(-n // FORWARD_BLOCK))
+    blocks = (x[p[0] : p[-1] + 1] if rows is None else x[p] for p in parts)
     features = np.concatenate([forward_graph(params, block).p2 for block in blocks])
-    logits = dense(features.reshape(x.shape[0], -1), params.dense_w, params.dense_b)
+    logits = dense(features.reshape(n, -1), params.dense_w, params.dense_b)
     require_finite("logits", logits)
     return logits
 
@@ -461,6 +471,9 @@ def load_params(path) -> ModelParams:
     try:
         arch = records.pop("arch")
         require_finite(f"{path}: arch", arch)
+        if arch.shape != (4,) or not np.all((arch >= 0) & (arch == np.floor(arch))):
+            raise ValueError(f"{path}: arch record {arch.tolist()} is not 4 non-negative integers "
+                             "(height, width, channels, classes)")
         h, w, c, k = (int(v) for v in arch)
         return ModelParams(h, w, c, k, **{name: records[name] for name in PARAM_FIELDS})
     except KeyError as exc:

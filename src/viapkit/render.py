@@ -427,6 +427,12 @@ def write_ppm(image: np.ndarray, path) -> None:
 # Dataset
 # ---------------------------------------------------------------------------
 
+def _require_count(what: str, value) -> None:
+    """ValueError unless value is a non-negative int (a JSON integer, not a bool or float)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} {value!r} is not a non-negative integer")
+
+
 @dataclass
 class DatasetManifest:
     classes: tuple
@@ -439,6 +445,8 @@ class DatasetManifest:
         per_object: dict[int, set] = {}
         seen = set()
         for i, rec in enumerate(self.views):
+            for name in ("object", "view"):
+                _require_count(f"view record {i}: {name}", rec[name])
             key = (rec["object"], rec["view"])
             if key in seen:
                 raise ValueError(f"duplicate (object, view) pair {key}")
@@ -636,9 +644,12 @@ def load_dataset(in_dir) -> Dataset:
         raise ValueError(f"{in_dir}: not a dataset directory (format tag mismatch)")
     path = os.path.join(in_dir, "images.f64")
     try:
-        shape = tuple(int(d) for d in raw["image_shape"])
-        if len(shape) != 3:
-            raise ValueError(f"image_shape {list(shape)} is not (height, width, channels)")
+        shape = raw["image_shape"]
+        if not isinstance(shape, list) or len(shape) != 3:
+            raise ValueError(f"image_shape {shape!r} is not (height, width, channels)")
+        for d in shape:
+            _require_count("image_shape extent", d)
+        shape = tuple(shape)
         per = math.prod(shape) * 8
         views = list(raw["views"])
         for i, rec in enumerate(views):

@@ -116,14 +116,20 @@ def train(
     images: np.ndarray,
     labels: np.ndarray,
     config: TrainConfig,
-    val: tuple[np.ndarray, np.ndarray] | None = None,
+    rows: np.ndarray | None = None,
+    val_rows: np.ndarray | None = None,
     jobs: int | None = None,
 ) -> tuple[nn.ModelParams, list[dict]]:
-    """SGD with momentum over seeded per-epoch shuffles.
+    """SGD with momentum over seeded per-epoch shuffles of images[rows].
+
+    labels are aligned with images. Training reads the rows given (every
+    row if rows is None) and, when val_rows is given, scores the held-out
+    rows each epoch; each batch is read from images as it runs, so images
+    may be a whole dataset's pixels and no split of them is ever copied.
 
     Returns the weights of the epoch with the highest training accuracy
     (earliest epoch on ties) together with the full per-epoch log: epoch,
-    mean loss, train accuracy, and (when val is given) held-out accuracy.
+    mean loss, train accuracy, and (when val_rows is given) held-out accuracy.
     The snapshot looks at training accuracy only. At some train seeds the
     large default step leaves the run short of the clean gate or at chance;
     dead conv2 channels do not tell those runs apart (9-15 of 16 are dead in
@@ -139,15 +145,16 @@ def train(
     """
     images = nn.as_f64(images)
     labels = np.asarray(labels, dtype=np.int64)
-    if images.shape[0] == 0:
+    rows = np.arange(images.shape[0]) if rows is None else np.asarray(rows)
+    if len(rows) == 0:
         raise ValueError("training split is empty")
     if images.shape[0] != labels.shape[0]:
         raise ValueError("images and labels disagree on example count")
 
     weights = {f: getattr(params, f).copy() for f in nn.PARAM_FIELDS}
     velocity = {f: np.zeros_like(w) for f, w in weights.items()}
-    n = images.shape[0]
-    splits = [(images, labels)] if val is None else [(images, labels), val]
+    n = len(rows)
+    splits = [rows] if val_rows is None else [rows, val_rows]
     accs = []  # the scored epoch's accuracy on each split
     log = []
     best_acc, best_weights = -1.0, None
@@ -160,7 +167,7 @@ def train(
         order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
+            idx = rows[order[start : start + config.batch_size]]
             current = params.replace_weights(**weights)
             try:
                 loss, grads = nn.loss_and_param_grad(current, images[idx], labels[idx])
@@ -176,7 +183,7 @@ def train(
 
     def score(epoch_weights, _):
         current = params.replace_weights(**epoch_weights)
-        return [evaluate_clean(current, *split)[0] for split in splits]
+        return [evaluate_clean(current, images, labels, split)[0] for split in splits]
 
     def keep(_, split_accs):
         accs[:] = split_accs
@@ -185,7 +192,7 @@ def train(
         nonlocal best_acc, best_weights
         scorers.finish()
         entry = {"epoch": epoch, "loss": loss, "train_acc": accs[0]}
-        if val is not None:
+        if val_rows is not None:
             entry["test_acc"] = accs[1]
         log.append(entry)
         if entry["train_acc"] > best_acc:
@@ -208,13 +215,18 @@ def train(
 
 
 def evaluate_clean(
-    params: nn.ModelParams, images: np.ndarray, labels: np.ndarray
+    params: nn.ModelParams, images: np.ndarray, labels: np.ndarray, rows=None
 ) -> tuple[float, float]:
-    """(top-1 accuracy, mean softmax mass on the true label) over a split."""
+    """(top-1 accuracy, mean softmax mass on the true label) over images[rows].
+
+    labels are aligned with images; rows None means every row.
+    """
     labels = np.asarray(labels, dtype=np.int64)
+    if rows is not None:
+        labels = labels[rows]
     if len(labels) == 0:
         raise ValueError("empty split")
-    return clean_metrics(nn.forward(params, images), labels)
+    return clean_metrics(nn.forward(params, images, rows), labels)
 
 
 def clean_metrics(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:

@@ -29,9 +29,9 @@ def victim_run(default_dataset):
     te = ds.indices("test")
     return train.train(
         train.init_params(0),
-        ds.images[tr], ds.labels[tr],
+        ds.images, ds.labels,
         train.TrainConfig(),
-        val=(ds.images[te], ds.labels[te]),
+        tr, te,
     )
 
 

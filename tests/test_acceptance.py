@@ -39,9 +39,9 @@ class PipelineRun:
         te = self.dataset.indices("test")
         self.params, self.log = train_mod.train(
             train_mod.init_params(0),
-            self.dataset.images[tr], self.dataset.labels[tr],
+            self.dataset.images, self.dataset.labels,
             train_mod.TrainConfig(),
-            val=(self.dataset.images[te], self.dataset.labels[te]),
+            tr, te,
         )
         t2 = time.perf_counter()
         self.sweep = evaluate.confidence_sweep(self.params, self.dataset)

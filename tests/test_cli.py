@@ -1,8 +1,10 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -462,16 +464,25 @@ def test_sweep_ends_with_a_count_per_kind_of_file(tiny_run, capsys):
 
 def test_malformed_weights_are_usage_errors(tiny_run, tmp_path, capsys):
     _, _, ds_dir, model_dir = tiny_run
-    bad = tmp_path / "w.viapnet"
-    bad.write_bytes((model_dir / "weights.viapnet").read_bytes() + b"\x00\x00\x00")
-    for argv in (
-        ["attack", "--family", "fgsm", "--eps", "2"],
-        ["sweep", "--family", "fgsm", "--eps", "0,2"],
-    ):
-        rc = cli.main(argv + ["--dataset", str(ds_dir), "--weights", str(bad),
-                              "--out", str(tmp_path / argv[0])])
-        assert rc == cli.EXIT_USAGE
-        assert str(bad) in last_error(capsys)["message"]
+    good = (model_dir / "weights.viapnet").read_bytes()
+    contents = [good + b"\x00\x00\x00"]
+    # the leading arch record swapped for one that is not 4 non-negative integers
+    arch_end = len(nn.PARAMS_MAGIC) + 4 + len(b"arch") + 4 + 4 + 4 * 8
+    for arch in ([32.5, 32, 3, 4], [[32, 32], [3, 4]], [32, 32, 3]):
+        record = io.BytesIO()
+        nn._write_record(record, "arch", np.array(arch, dtype=np.float64))
+        contents.append(good[: len(nn.PARAMS_MAGIC)] + record.getvalue() + good[arch_end:])
+    for i, content in enumerate(contents):
+        bad = tmp_path / f"w{i}.viapnet"
+        bad.write_bytes(content)
+        for argv in (
+            ["attack", "--family", "fgsm", "--eps", "2"],
+            ["sweep", "--family", "fgsm", "--eps", "0,2"],
+        ):
+            rc = cli.main(argv + ["--dataset", str(ds_dir), "--weights", str(bad),
+                                  "--out", str(tmp_path / argv[0])])
+            assert rc == cli.EXIT_USAGE, (i, argv[0])
+            assert str(bad) in last_error(capsys)["message"]
 
 
 @pytest.mark.parametrize("label", [4, -1])
@@ -614,3 +625,57 @@ def test_cli_import_loads_no_process_or_thread_pool():
         capture_output=True, text=True, timeout=120, env=viapkit_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# --- one copy of the pixels ---------------------------------------------------
+
+def save_noise_dataset(out, views: int, size: int = 16) -> int:
+    """Uniform-noise views, 16 per object, 8 of each object's in either split; returns pixel bytes."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(views)))
+    manifest = render.DatasetManifest(
+        classes=render.CLASS_KINDS, image_shape=(size, size, 3), seed=0, jitter_frac=0.0)
+    nbytes = size * size * 3 * 8
+    for i in range(views):
+        o, v = divmod(i, 16)
+        manifest.views.append({"index": i, "object": o, "class": o % len(render.CLASS_KINDS),
+                               "view": v, "split": "train" if v < 8 else "test",
+                               "offset": i * nbytes})
+    images = rng.uniform(0.0, 1.0, size=(views, size, size, 3))
+    render.save_dataset(render.Dataset(manifest, images), out)
+    return images.nbytes
+
+
+def traced_peak(argv) -> int:
+    """Most bytes held under tracemalloc while cli.main(argv) ran, beyond those held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert cli.main(argv) == cli.EXIT_OK
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_and_sweep_hold_one_copy_of_the_pixels(tmp_path):
+    # How much each command's peak grows per pixel byte when the dataset
+    # doubles: 1 for the pixels, plus what each view adds besides (its
+    # manifest record, about 0.08, and a split's pooled features, a third
+    # of its pixels, held twice while nn.forward concatenates them, about
+    # 0.33). A copy of one split would add another 1/2, since each split
+    # holds half of the views, and a copy of both 1.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"epochs": 1},
+                               "sweep": {"gate_train": 0.0, "gate_test": 0.0}}))
+    pixels, peaks = [], []
+    for views in (1024, 2048):
+        root = tmp_path / str(views)
+        pixels.append(save_noise_dataset(root / "ds", views))
+        common = ["--config", str(cfg), "--dataset", str(root / "ds")]
+        peaks.append((
+            traced_peak(["train", *common, "--out", str(root / "model")]),
+            traced_peak(["sweep", *common, "--weights", str(root / "model" / "weights.viapnet"),
+                         "--eps", "0", "--out", str(root / "sweep")]),
+        ))
+    for command, small, large in zip(("train", "sweep"), *peaks):
+        growth = (large - small) / (pixels[1] - pixels[0])
+        assert growth < 1.75, (command, growth)

@@ -131,7 +131,8 @@ def test_sweep_eps_zero_rows_are_clean(tiny_sweep):
 def test_eps_zero_cells_share_one_clean_forward_per_split(tiny_dataset, victim, monkeypatch):
     forwards = []
     real = nn.forward
-    monkeypatch.setattr(nn, "forward", lambda params, x: forwards.append(len(x)) or real(params, x))
+    monkeypatch.setattr(nn, "forward", lambda params, x, rows=None:
+                        forwards.append(len(x if rows is None else rows)) or real(params, x, rows))
     config = evaluate.SweepConfig(eps_grid=(0.0,), gate_train=0.0, gate_test=0.0)
     result = evaluate.confidence_sweep(victim, tiny_dataset, config=config, jobs=1)
     assert len(result.cells) == 2 * len(config.families)
@@ -200,7 +201,8 @@ def test_each_object_is_scored_as_attack_scores_it(tiny_dataset, victim):
 def test_sweep_scores_each_object_with_one_forward_per_split(tiny_dataset, victim, monkeypatch):
     forwards = []
     real = nn.forward
-    monkeypatch.setattr(nn, "forward", lambda params, x: forwards.append(len(x)) or real(params, x))
+    monkeypatch.setattr(nn, "forward", lambda params, x, rows=None:
+                        forwards.append(len(x if rows is None else rows)) or real(params, x, rows))
     ds, positive = tiny_dataset, (3.0, 5.0)
     config = evaluate.SweepConfig(eps_grid=(0.0, *positive), families=("fgsm", "viap-t"),
                                   iterations=2, gate_train=0.0, gate_test=0.0)

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 
@@ -380,6 +381,14 @@ def saved_params_bytes(rng, tmp_path) -> bytes:
     return path.read_bytes()
 
 
+def with_arch(buf: bytes, arch) -> bytes:
+    """A saved weights file with its leading 4-value arch record replaced by one holding arch."""
+    record = io.BytesIO()
+    nn._write_record(record, "arch", np.array(arch, dtype=np.float64))
+    start = len(nn.PARAMS_MAGIC)
+    return buf[:start] + record.getvalue() + buf[start + 4 + len(b"arch") + 4 + 4 + 4 * 8 :]
+
+
 def test_load_rejects_truncated_files(rng, tmp_path):
     buf = saved_params_bytes(rng, tmp_path)
     path = tmp_path / "cut.viapnet"
@@ -416,3 +425,11 @@ def test_load_rejects_bad_record_headers(rng, tmp_path):
     path.write_bytes(buf + buf[len(nn.PARAMS_MAGIC) :])
     with pytest.raises(ValueError, match="repeated"):
         nn.load_params(path)
+    # architecture records that are not 4 non-negative integers
+    path.write_bytes(with_arch(buf, [8, 8, 2, 3]))
+    assert nn.load_params(path).height == 8  # the record as saved
+    for arch in ([8.5, 8, 2, 3], [[8, 8], [2, 3]], [8, 8, 2], [8, 8, 2, 3, 1], [8, 8, -2, 3]):
+        path.write_bytes(with_arch(buf, arch))
+        with pytest.raises(ValueError, match="arch record") as err:
+            nn.load_params(path)
+        assert str(path) in str(err.value), arch

@@ -299,10 +299,21 @@ def test_load_rejects_missing_or_ill_typed_manifest_fields(tmp_path, tiny_datase
     # object 0 labelled past the last class, or before the first
     bad += [{**good, "views": [{**r, "class": c} if r["object"] == 0 else r for r in good["views"]]}
             for c in (len(good["classes"]), -1)]
+    # extents and ids that are not non-negative integers
+    size = good["image_shape"][0]
+    bad += [{**good, "image_shape": shape}
+            for shape in ([size + 0.5, size, 3], [size, size, -3], [size, size, True])]
+    bad += [{**good, "views": [{**r, field: value} if r["object"] == 0 else r
+                               for r in good["views"]]}
+            for field, value in (("object", -1), ("object", 0.5), ("view", -1), ("view", "0"))]
     for manifest in bad:
         (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="malformed dataset"):
+        with pytest.raises(ValueError, match="malformed dataset") as err:
             render.load_dataset(tmp_path / "d")
+        assert str(tmp_path / "d") in str(err.value)
+    (tmp_path / "d" / "manifest.json").write_text(json.dumps(bad[-4]))
+    with pytest.raises(ValueError, match="view record 0: object -1 is not a non-negative integer"):
+        render.load_dataset(tmp_path / "d")
 
 
 def test_load_rejects_records_out_of_place(tmp_path, tiny_dataset):

@@ -130,7 +130,7 @@ def test_evaluate_clean_uniform_model(rng):
 def test_log_csv_layout(rng):
     x, y = toy_data(rng)
     p0 = train.init_params(0, height=8, width=8)
-    _, log = train.train(p0, x, y, train.TrainConfig(epochs=2), val=(x, y))
+    _, log = train.train(p0, x, y, train.TrainConfig(epochs=2), val_rows=np.arange(len(y)))
     text = train.log_csv(log)
     lines = text.strip().split("\n")
     assert lines[0] == "epoch,loss,train_acc,test_acc"
@@ -155,13 +155,34 @@ def test_training_same_for_any_jobs(rng):
     x, y = toy_data(rng, n=40)
     p0 = train.init_params(2, height=8, width=8)
     cfg = train.TrainConfig(epochs=4, seed=3)
-    runs = {jobs: train.train(p0, x[:32], y[:32], cfg, val=(x[32:], y[32:]), jobs=jobs)
+    runs = {jobs: train.train(p0, x, y, cfg, np.arange(32), np.arange(32, 40), jobs=jobs)
             for jobs in (1, 2, 3, 5)}  # 5: more processes than the two splits
     params_1, log_1 = runs[1]
     for jobs, (params, log) in runs.items():
         assert train.log_csv(log) == train.log_csv(log_1), jobs
         for f in nn.PARAM_FIELDS:
             assert np.array_equal(getattr(params, f), getattr(params_1, f)), (jobs, f)
+
+
+def test_training_on_rows_equals_training_on_a_copied_split(rng):
+    x, y = toy_data(rng, n=40)
+    order = rng.permutation(40)
+    rows, val_rows = order[:28], order[28:]
+    p0 = train.init_params(4, height=8, width=8)
+    cfg = train.TrainConfig(epochs=3, seed=2)
+    by_rows = train.train(p0, x, y, cfg, rows, val_rows)
+    # the same views copied out in the same order, the held-out ones behind them
+    copied = train.train(p0, x[order], y[order], cfg, np.arange(28), np.arange(28, 40))
+    forked = train.train(p0, x, y, cfg, rows, val_rows, jobs=2)
+    for (params, log), jobs in ((copied, 1), (forked, 2)):
+        assert train.log_csv(log) == train.log_csv(by_rows[1]), jobs
+        for f in nn.PARAM_FIELDS:
+            assert np.array_equal(getattr(params, f), getattr(by_rows[0], f)), (jobs, f)
+    # without held-out rows, on the training split alone
+    alone, log = train.train(p0, x[rows], y[rows], cfg)
+    assert [e["train_acc"] for e in log] == [e["train_acc"] for e in by_rows[1]]
+    for f in nn.PARAM_FIELDS:
+        assert np.array_equal(getattr(alone, f), getattr(by_rows[0], f)), f
 
 
 def test_scoring_error_in_a_helper_reaches_the_caller(rng, monkeypatch, tmp_path):
@@ -172,7 +193,7 @@ def test_scoring_error_in_a_helper_reaches_the_caller(rng, monkeypatch, tmp_path
     fail_in_a_helper(monkeypatch, train, "evaluate_clean", tmp_path / "failed", fail)
     with deadline(120), pytest.raises(ValueError) as err:
         train.train(train.init_params(0, height=8, width=8), x, y,
-                    train.TrainConfig(epochs=2), val=(x, y), jobs=2)
+                    train.TrainConfig(epochs=2), val_rows=np.arange(len(y)), jobs=2)
     assert type(err.value) is ValueError
     assert err.value.args == ("scoring failed in a helper",)
 
@@ -182,7 +203,7 @@ def test_scorer_that_dies_stops_training(rng, monkeypatch, tmp_path):
     fail_in_a_helper(monkeypatch, train, "evaluate_clean", tmp_path / "died", lambda: os._exit(3))
     with deadline(120), pytest.raises(RuntimeError, match="scorer process .* died with exit code 3"):
         train.train(train.init_params(0, height=8, width=8), x, y,
-                    train.TrainConfig(epochs=2), val=(x, y), jobs=2)
+                    train.TrainConfig(epochs=2), val_rows=np.arange(len(y)), jobs=2)
 
 
 @pytest.mark.parametrize("scoring_fails", [True, False])
@@ -201,10 +222,10 @@ def test_training_failures_come_in_epoch_order(rng, monkeypatch, scoring_fails):
             raise ValueError("step failed")
         return real_grad(*args)
 
-    def evaluate_clean(params, images, labels):
+    def evaluate_clean(params, images, labels, rows):
         if scoring_fails:
-            raise ValueError(f"scoring {len(labels)} rows failed")
-        return real_eval(params, images, labels)
+            raise ValueError(f"scoring {len(rows)} rows failed")
+        return real_eval(params, images, labels, rows)
 
     monkeypatch.setattr(nn, "loss_and_param_grad", grad)
     monkeypatch.setattr(train, "evaluate_clean", evaluate_clean)
@@ -213,7 +234,7 @@ def test_training_failures_come_in_epoch_order(rng, monkeypatch, scoring_fails):
         steps.clear()
         with deadline(120), pytest.raises(Exception) as err:
             train.train(train.init_params(0, height=8, width=8), x, y,
-                        train.TrainConfig(epochs=3), val=(x[:8], y[:8]), jobs=jobs)
+                        train.TrainConfig(epochs=3), val_rows=np.arange(8), jobs=jobs)
         raised.append((type(err.value), str(err.value)))
     if scoring_fails:
         assert raised[0] == (ValueError, f"scoring {len(y)} rows failed")
