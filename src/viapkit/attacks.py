@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from viapkit import nn
+from viapkit import nn, prng
 
 FAMILIES = ("fgsm", "fgsm-t", "bim", "bim-t", "viap", "viap-t")
 TARGETED_FAMILIES = frozenset({"fgsm-t", "bim-t", "viap-t"})
@@ -52,6 +52,8 @@ class AttackConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown attack family {self.family!r}; know {FAMILIES}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0; got {self.seed}")
         if not (0.0 <= self.eps < math.inf):
             raise ValueError(f"eps must be finite and >= 0; got {self.eps}")
         iters = self.iterations
@@ -247,7 +249,7 @@ def viap_arrays(
     sgn = -1.0 if targeted(config.family) else 1.0
     shape = images.shape[1:]
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    rng = prng.PCG64(config.seed)
     delta = rng.uniform(-config.rho, config.rho, size=shape) if config.rho > 0 else np.zeros(shape)
     delta = np.clip(delta, -e, e)
 

@@ -21,7 +21,7 @@ import typing
 
 import numpy as np
 
-from viapkit import attacks, evaluate, forked, nn, render
+from viapkit import attacks, evaluate, forked, nn, prng, render
 from viapkit import train as train_mod
 
 EXIT_OK = 0
@@ -330,12 +330,12 @@ def cmd_verify(args) -> int:
         except AssertionError as exc:
             checks.append((name, False, str(exc)))
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(12345)))
+    rng = prng.PCG64(12345)
 
     def small_model(k=3):
         p = train_mod.init_params(99, 8, 8, 3, k)
         x = rng.uniform(0.05, 0.95, size=(3, 8, 8, 3))
-        y = rng.integers(0, k, size=3)
+        y = np.array([rng.integers(0, k) for _ in range(3)])
         return p, x, y
 
     def chk_gradients():
@@ -343,7 +343,7 @@ def cmd_verify(args) -> int:
         _, grad = nn.loss_and_input_grad(p, x, y)
         h = 1e-5
         for _ in range(25):
-            i = tuple(int(rng.integers(0, s)) for s in x.shape)
+            i = tuple(rng.integers(0, s) for s in x.shape)
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
@@ -365,7 +365,7 @@ def cmd_verify(args) -> int:
     def chk_ball():
         p, x, y = small_model()
         for _ in range(40):
-            eps = float(rng.uniform(0.0, 50.0))
+            eps = rng.uniform(0.0, 50.0)
             cfg = attacks.AttackConfig(family="bim", eps=eps, iterations=3)
             seen = []
             attacks.bim_batch(p, x, y, cfg, trace=lambda n, adv: seen.append(adv.copy()))

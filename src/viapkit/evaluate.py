@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from viapkit import attacks, forked, nn, train
+from viapkit import attacks, forked, nn, prng, train
 from viapkit.attacks import AttackConfig, FAMILIES, SINGLE_STEP_FAMILIES
 from viapkit.render import Dataset, ppm_pixels, write_ppm
 
@@ -151,6 +151,8 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "eps_grid", tuple(self.eps_grid))
         object.__setattr__(self, "families", tuple(self.families))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0; got {self.seed}")
         if len(self.eps_grid) == 0 or not all(e >= 0 for e in self.eps_grid):
             raise ValueError("eps grid must be non-empty and non-negative")
         if len(self.families) == 0:
@@ -229,19 +231,17 @@ def draw_target(seed: int, object_id: int, true_label: int, n_classes: int) -> i
     """
     if n_classes < 2:
         raise ValueError(f"a target label needs at least 2 classes; the dataset has {n_classes}")
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, _TARGET_STREAM, object_id]))
-    )
-    t = int(rng.integers(0, n_classes))
+    rng = prng.PCG64([seed, _TARGET_STREAM, object_id])
+    t = rng.integers(0, n_classes)
     while t == true_label:
-        t = int(rng.integers(0, n_classes))
+        t = rng.integers(0, n_classes)
     return t
 
 
 def attack_seed(seed: int, family: str, eps: float, object_id: int) -> int:
     """The init seed of family's craft at eps on an object, as sweep and attack both derive it."""
     parts = [seed, _ATTACK_STREAM, FAMILIES.index(family), int(round(eps * 1000)), object_id]
-    return int(np.random.SeedSequence(parts).generate_state(1)[0])
+    return prng.generate_state(parts, 1)[0]
 
 
 def _make_cell(family, eps, split, probs, labels, targets_pv) -> Cell:

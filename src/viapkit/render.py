@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from viapkit import forked
+from viapkit import forked, prng
 
 IMG_SIZE = 32
 BACKGROUND = (0.9, 0.9, 0.9)
@@ -85,8 +85,8 @@ def make_object(kind: str, class_id: int, seed: int) -> ShapeSpec:
     shared within a class, but size jitter rescales it with the mesh, so
     band positions still drift object to object and view to view.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    size = float(rng.uniform(0.95, 1.05))
+    rng = prng.PCG64(seed)
+    size = rng.uniform(0.95, 1.05)
     albedo = np.clip(np.array(BASE_ALBEDO) + rng.uniform(-0.002, 0.002, size=3), 0.05, 0.95)
     return ShapeSpec(
         class_id=class_id,
@@ -239,10 +239,13 @@ AXES = ("theta", "phi", "radius")
 
 
 def sample_camera(
-    base: CameraPose, jitter_frac: float, rng: np.random.Generator,
+    base: CameraPose, jitter_frac: float, rng: prng.PCG64,
     axis_restrict: str | None = None,
 ) -> CameraPose:
     """Multiplicative pose jitter: each coordinate scaled by (1 + u), u ~ U(-f, f).
+
+    rng is anything with PCG64's uniform(low, high, size), NumPy's
+    Generator too; u is its next three draws.
 
     theta is clamped back to [0, pi] and phi wrapped mod 2*pi. With
     axis_restrict set, only that coordinate is jittered; the draws for the
@@ -285,8 +288,9 @@ def _camera_frame(pose: CameraPose) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 # Faces whose coverage and depth are evaluated together; with the faces on
-# the last axis, one chunk over a 32x32 window is about 2 MB per array.
-FACE_CHUNK = 256
+# the last axis, one chunk over a whole 32x32 window is 512 KiB per array.
+# Chunks of 256 faces (2 MiB per array) took five times the page faults.
+FACE_CHUNK = 64
 
 
 def _edge_functions(ax, ay, bx, by, cx, cy, px, py) -> tuple:
@@ -558,6 +562,8 @@ def generate_dataset(
     jobs is not a dataset setting: it is positional, and the CLI reads the
     keyword-only parameters as its settings.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0; got {seed}")
     if not classes or not set(classes) <= set(CLASS_KINDS):
         raise ValueError(f"classes must be a non-empty list of {CLASS_KINDS}; got {list(classes)}")
     if objects_per_class < 1:
@@ -582,14 +588,10 @@ def generate_dataset(
     shapes, poses = [], []  # per object; per view, in index order
     for class_id, kind in enumerate(classes):
         for _obj in range(objects_per_class):
-            obj_seed = int(
-                np.random.SeedSequence([seed, class_id, _obj]).generate_state(1)[0]
-            )
+            obj_seed = prng.generate_state([seed, class_id, _obj], 1)[0]
             shapes.append(make_object(kind, class_id, obj_seed))
             for view_id in range(views_per_object):
-                cam_rng = np.random.Generator(
-                    np.random.PCG64(np.random.SeedSequence([seed, class_id, _obj, view_id]))
-                )
+                cam_rng = prng.PCG64([seed, class_id, _obj, view_id])
                 pose = sample_camera(bases[view_id], jitter_frac, cam_rng, axis_restrict)
                 index = len(poses)
                 poses.append(pose)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from viapkit import forked, nn
+from viapkit import forked, nn, prng
 
 DEFAULT_EPOCHS = 30
 DEFAULT_BATCH = 16
@@ -46,6 +46,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0; got {self.seed}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -82,7 +84,7 @@ def init_params(
     early training is logistic regression on frozen features (see the gain
     comment above).
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = prng.PCG64(seed)
 
     def he(shape, fan_in, gain):
         bound = gain * math.sqrt(6.0 / fan_in)
@@ -161,10 +163,7 @@ def train(
 
     def run_epoch(epoch) -> float:
         """One epoch of steps, which rebind the arrays in weights; its mean loss."""
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([config.seed, epoch]))
-        )
-        order = rng.permutation(n)
+        order = prng.PCG64([config.seed, epoch]).permutation(n)
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = rows[order[start : start + config.batch_size]]

@@ -365,6 +365,32 @@ def test_sweep_rejects_bad_settings_before_any_work(tmp_path, capsys, cfg, flags
     assert not (out / "model").exists()
 
 
+@pytest.mark.parametrize("command,cfg,flags", [
+    ("dataset", {"dataset": TINY_DS}, ["--seed", "-1"]),
+    ("dataset", {"dataset": {**TINY_DS, "seed": -1}}, []),
+    ("train", {}, ["--seed", "-1"]),
+    ("train", {"train": {"seed": -1}}, []),
+    ("attack", {}, ["--seed", "-1"]),
+    ("attack", {"attack": {"seed": -1}}, []),
+    ("sweep", {"dataset": TINY_DS}, ["--seed", "-1"]),
+    ("sweep", {"dataset": TINY_DS, "seed": -1}, []),
+    ("sweep", {"dataset": TINY_DS, "train": {"seed": -1}}, []),
+    ("sweep", {"dataset": {**TINY_DS, "seed": -1}}, []),
+])
+def test_negative_seed_is_rejected_before_any_work(tmp_path, capsys, command, cfg, flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    # train and attack would read these only after their settings pass
+    inputs = {"train": ["--dataset", str(tmp_path / "ds")],
+              "attack": ["--dataset", str(tmp_path / "ds"), "--weights", str(tmp_path / "w")]}
+    argv = [command, "--config", str(path), "--out", str(out), *inputs.get(command, []), *flags]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert last_error(capsys)["message"] == "seed must be >= 0; got -1"
+    # the echoed config and nothing else: no images, weights, dataset/ or model/
+    assert sorted(os.listdir(out)) == ["config.json"]
+
+
 def test_sectioned_config_with_every_section(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
