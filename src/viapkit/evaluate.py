@@ -160,6 +160,11 @@ class SweepConfig:
         for name, values in (("eps_grid", self.eps_grid), ("families", self.families)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats a value: {list(values)}")
+        for name in ("gate_train", "gate_test"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1]; got {getattr(self, name)}")
+        if not (0.0 <= self.ttest_eps < math.inf):
+            raise ValueError(f"ttest_eps must be finite and >= 0; got {self.ttest_eps}")
         # each family's attack settings, at the grid's largest eps so that the
         # step checks run whenever any eps is positive; bim also checks the
         # iteration count that single-step families ignore

@@ -26,41 +26,59 @@ _Z_MARGIN = 5e-4
 _GAP_MARGIN = 1e-3
 
 
-def oracle_loss(params: nn.ModelParams, x: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy recomputed from logits with its own logsumexp."""
-    logits = nn.forward(params, x)
-    m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    return float(np.mean(lse - logits[np.arange(len(labels)), labels]))
-
-
 def rel_err(a: float, b: float, floor: float = REL_FLOOR) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
+def stacked_loss(params: nn.ModelParams, x: np.ndarray, labels: np.ndarray,
+                 **stacked: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy of each of K copies of the network, shape (K,).
+
+    x is (K, B, H, W, C); a weight field passed by name in stacked is
+    (K, *field shape) and replaces that field, and any other operand is
+    shared by every copy (x then has K = 1). Written in numpy from the
+    reference im2col, relu, max pooling and logsumexp, without nn.
+    """
+    w = {f: stacked.get(f, getattr(params, f)[None]) for f in nn.PARAM_FIELDS}
+
+    def conv_relu_pool(a, kernel, bias):
+        k, b, h, wd, c = a.shape
+        cols = patches_reference(a.reshape(k * b, h, wd, c)).reshape(k, b * h * wd, 9 * c)
+        z = cols @ kernel.reshape(kernel.shape[0], 9 * c, -1) + bias[:, None, :]
+        z = relu(z).reshape(z.shape[0], b, h // 2, 2, wd // 2, 2, -1)
+        return z.max(axis=(3, 5))
+
+    p1 = conv_relu_pool(x, w["conv1_w"], w["conv1_b"])
+    p2 = conv_relu_pool(p1, w["conv2_w"], w["conv2_b"])
+    logits = p2.reshape(*p2.shape[:2], -1) @ w["dense_w"] + w["dense_b"][:, None, :]
+    m = logits.max(axis=2, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(logits - m).sum(axis=2))
+    return np.mean(lse - logits[:, np.arange(len(labels)), labels], axis=1)
+
+
+def _plus_minus(base: np.ndarray, coords, h: float) -> np.ndarray:
+    """2n copies of base: copy k moves coords[k] by +h, copy n + k by -h."""
+    n = len(coords)
+    copies = np.repeat(base[None], 2 * n, axis=0)
+    flat = copies.reshape(2 * n, -1)
+    at = np.ravel_multi_index(tuple(np.array(coords).T), base.shape)
+    flat[np.arange(n), at] += h
+    flat[np.arange(n, 2 * n), at] -= h
+    return copies
+
+
+def _central(losses: np.ndarray, h: float) -> np.ndarray:
+    n = len(losses) // 2
+    return (losses[:n] - losses[n:]) / (2 * h)
+
+
 def fd_input_grad(params, x, labels, coords, h: float = FD_H) -> np.ndarray:
-    out = np.empty(len(coords))
-    for k, idx in enumerate(coords):
-        xp = x.copy()
-        xp[idx] += h
-        up = oracle_loss(params, xp, labels)
-        xp[idx] -= 2 * h
-        dn = oracle_loss(params, xp, labels)
-        out[k] = (up - dn) / (2 * h)
-    return out
+    return _central(stacked_loss(params, _plus_minus(x, coords, h), labels), h)
 
 
 def fd_param_grad(params, x, labels, field: str, coords, h: float = FD_H) -> np.ndarray:
-    base = getattr(params, field)
-    out = np.empty(len(coords))
-    for k, idx in enumerate(coords):
-        wp = base.copy()
-        wp[idx] += h
-        up = oracle_loss(params.replace_weights(**{field: wp}), x, labels)
-        wp[idx] -= 2 * h
-        dn = oracle_loss(params.replace_weights(**{field: wp}), x, labels)
-        out[k] = (up - dn) / (2 * h)
-    return out
+    copies = _plus_minus(getattr(params, field), coords, h)
+    return _central(stacked_loss(params, x[None], labels, **{field: copies}), h)
 
 
 def _pool_gap(z: np.ndarray) -> float:

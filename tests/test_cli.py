@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -120,6 +121,20 @@ def test_targeted_attacks_reject_the_true_label_as_target(tiny_run, capsys):
         assert rc == cli.EXIT_USAGE, family
         assert "equals a true label" in last_error(capsys)["message"]
         assert not (out / "delta.viapdlt").exists()
+
+
+@pytest.mark.parametrize("target", [7, -1])
+def test_attack_target_outside_the_classes_is_a_usage_error(tiny_run, capsys, target):
+    root, _, ds_dir, model_dir = tiny_run
+    out = root / f"atk-target-{target}"
+    rc = cli.main([
+        "attack", "--dataset", str(ds_dir), "--weights", str(model_dir / "weights.viapnet"),
+        "--family", "bim-t", "--eps", "3", "--iters", "1", "--object", "1",
+        "--target", str(target), "--out", str(out),
+    ])
+    assert rc == cli.EXIT_USAGE
+    assert last_error(capsys)["message"] == f"target must lie in [0, 4); got {target}"
+    assert not (out / "delta.viapdlt").exists()
 
 
 def test_attack_random_target_is_the_sweep_target(tiny_run):
@@ -258,17 +273,12 @@ def test_missing_dataset_is_usage_error(tmp_path, capsys):
     assert payload["error"] == "usage"
 
 
-def test_unknown_family_rejected_by_parser(capsys):
+@pytest.mark.parametrize("argv", [["attack", "--family", "pgd"], ["verify"]],
+                         ids=["attack-pgd", "verify"])
+def test_unknown_family_rejected_by_parser(capsys, argv):
     with pytest.raises(SystemExit) as err:
-        cli.main(["attack", "--family", "pgd"])
+        cli.main(argv)
     assert err.value.code == 2
-
-
-def test_verify_passes(capsys):
-    assert cli.main(["verify"]) == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert "5/5 checks passed" in out
-    assert "FAIL" not in out
 
 
 def test_module_entrypoint_help():
@@ -277,8 +287,19 @@ def test_module_entrypoint_help():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0
-    for word in ("dataset", "train", "attack", "sweep", "verify"):
+    for word in ("dataset", "train", "attack", "sweep"):
         assert word in proc.stdout
+
+
+README_COMMANDS = sorted(set(re.findall(
+    r"\bviapkit ([a-z][a-z-]*)", (Path(__file__).parents[1] / "README.md").read_text())))
+
+
+@pytest.mark.parametrize("word", README_COMMANDS)
+def test_readme_names_only_existing_commands(capsys, word):
+    with pytest.raises(SystemExit) as err:
+        cli.main([word, "--help"])
+    assert err.value.code == 0
 
 
 def last_error(capsys) -> dict:
@@ -354,6 +375,13 @@ def test_ill_typed_config_value_is_usage_error(tmp_path, capsys, command, cfg, k
     ({}, ["--eps", "0,inf"], "eps must be finite"),
     ({}, ["--family", ""], "families must be non-empty"),
     ({"sweep": {"families": []}}, [], "families must be non-empty"),
+    ({"sweep": {"gate_train": math.nan}}, [], "gate_train must lie in [0, 1]"),
+    ({"sweep": {"gate_test": math.nan}}, [], "gate_test must lie in [0, 1]"),
+    ({"sweep": {"gate_train": 1.5}}, [], "gate_train must lie in [0, 1]"),
+    ({"sweep": {"gate_test": -0.1}}, [], "gate_test must lie in [0, 1]"),
+    ({"sweep": {"ttest_eps": math.inf}}, [], "ttest_eps must be finite and >= 0"),
+    ({"sweep": {"ttest_eps": math.nan}}, [], "ttest_eps must be finite and >= 0"),
+    ({"sweep": {"ttest_eps": -1}}, [], "ttest_eps must be finite and >= 0"),
 ])
 def test_sweep_rejects_bad_settings_before_any_work(tmp_path, capsys, cfg, flags, message):
     path = tmp_path / "cfg.json"

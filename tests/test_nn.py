@@ -153,6 +153,21 @@ def test_near_perfect_logits_have_tiny_grads():
 
 # --- gradients vs finite differences ---------------------------------------
 
+def test_stacked_oracle_loss_is_the_network_loss():
+    def loss(params, x, labels):
+        return nn.softmax_cross_entropy(nn.forward(params, x), labels)[0]
+
+    for seed in range(3):
+        params, x, labels = oracles.safe_config(seed)
+        neg = params.replace_weights(conv2_w=-params.conv2_w)
+        want = [loss(params, x, labels), loss(params, 1.0 - x, labels),
+                loss(params, x, labels), loss(neg, x, labels)]
+        got = [*oracles.stacked_loss(params, np.stack([x, 1.0 - x]), labels),
+               *oracles.stacked_loss(params, x[None], labels,
+                                     conv2_w=np.stack([params.conv2_w, -params.conv2_w]))]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_input_grad_matches_fd():
     for seed in range(3):
         params, x, labels = oracles.safe_config(seed)
