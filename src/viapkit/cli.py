@@ -134,14 +134,36 @@ def _merge(defaults: dict, types: dict, file_cfg: dict, flags: dict | None = Non
     return out
 
 
-def _echo_config(cfg: dict, out_dir) -> None:
-    text = json.dumps(cfg, indent=2, sort_keys=True)
+def _non_finite(cfg: dict, prefix: str = "") -> str:
+    """The first setting in cfg, dotted by section, that holds a NaN or an infinity."""
+    for k, v in sorted(cfg.items()):
+        try:
+            json.dumps(v, allow_nan=False)
+        except ValueError:
+            return _non_finite(v, f"{prefix}{k}.") if isinstance(v, dict) else prefix + k
+
+
+def _echo_config(cfg: dict, out_dir, check=lambda: None):
+    """Print cfg, write it to out_dir/config.json, then return check().
+
+    check builds the command's settings and raises on a bad one; it runs
+    after the echo, so a rejected run leaves its resolved config behind.
+    Strict JSON has no NaN or infinity, so a config holding one is written
+    nowhere: check runs first and names a setting it rejects, and a setting
+    it accepts is named here (ValueError either way).
+    """
+    try:
+        text = json.dumps(cfg, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        check()
+        raise ValueError(f"setting {_non_finite(cfg)} is not a finite number") from None
     print("resolved config:")
     print(text)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "config.json"), "w") as fh:
             fh.write(text + "\n")
+    return check()
 
 
 def _parse_eps(text: str) -> list:
@@ -188,8 +210,7 @@ def cmd_train(args) -> int:
     file_cfg = _section(_load_config_file(args.config), "train")
     cfg = _merge(DEFAULT_TRAIN_CFG, SETTING_TYPES["train"], file_cfg, {"seed": args.seed})
     out = args.out or "runs/model"
-    _echo_config(cfg, out)
-    tcfg = train_mod.TrainConfig(**cfg)
+    tcfg = _echo_config(cfg, out, lambda: train_mod.TrainConfig(**cfg))
 
     ds = render.load_dataset(args.dataset)
     params = _train_and_save(tcfg, ds, out)
@@ -212,18 +233,24 @@ def cmd_attack(args) -> int:
         },
     )
     out = args.out or "runs/attack"
-    _echo_config(cfg, out)
-
     family = cfg["family"]
-    eps = cfg["eps"] if isinstance(cfg["eps"], list) else [cfg["eps"]]
-    if len(eps) != 1:
-        raise ValueError(f"attack crafts at one eps; got {eps} (use sweep for a grid)")
-    eps = float(eps[0])
-    # a bad setting fails here, before the dataset and weights load; target and seed come later
-    acfg = attacks.AttackConfig(**{
-        **{f.name: cfg[f.name] for f in dataclasses.fields(attacks.AttackConfig)},
-        "eps": eps, "target": None,
-    })
+
+    def settings() -> attacks.AttackConfig:
+        """The attack's config; target and seed are set once the dataset is read."""
+        eps = cfg["eps"] if isinstance(cfg["eps"], list) else [cfg["eps"]]
+        if len(eps) != 1:
+            raise ValueError(f"attack crafts at one eps; got {eps} (use sweep for a grid)")
+        acfg = attacks.AttackConfig(**{
+            **{f.name: cfg[f.name] for f in dataclasses.fields(attacks.AttackConfig)},
+            "eps": float(eps[0]), "target": None,
+        })
+        if not attacks.targeted(family) and cfg["target"] != "random":
+            raise ValueError(f"target {cfg['target']} selects nothing: {family} is untargeted")
+        return acfg
+
+    # a bad setting fails here, before the dataset and weights load
+    acfg = _echo_config(cfg, out, settings)
+    eps = acfg.eps
     ds = render.load_dataset(args.dataset)
     params = nn.load_params(args.weights)
     o = cfg["object"]
@@ -289,12 +316,11 @@ def cmd_sweep(args) -> int:
         },
     )
     out = args.out or "runs/sweep"
-    _echo_config(
-        {"seed": seed, "dataset": dataset_cfg, "train": train_cfg, "sweep": sweep_cfg}, out
-    )
     # a bad train or sweep setting fails here, before any rendering or training
-    scfg = evaluate.SweepConfig(**sweep_cfg, seed=seed)
-    tcfg = train_mod.TrainConfig(**train_cfg)
+    scfg, tcfg = _echo_config(
+        {"seed": seed, "dataset": dataset_cfg, "train": train_cfg, "sweep": sweep_cfg}, out,
+        lambda: (evaluate.SweepConfig(**sweep_cfg, seed=seed), train_mod.TrainConfig(**train_cfg)),
+    )
     jobs = forked.resolve_jobs(args.jobs)
 
     if args.dataset:

@@ -287,19 +287,13 @@ def _camera_frame(pose: CameraPose) -> tuple[np.ndarray, np.ndarray]:
 # Rasterizer
 # ---------------------------------------------------------------------------
 
-# Faces whose coverage and depth are evaluated together; with the faces on
-# the last axis, one chunk over a whole 32x32 window is 512 KiB per array.
-# Chunks of 256 faces (2 MiB per array) took five times the page faults.
-FACE_CHUNK = 64
-
-
-def _edge_functions(ax, ay, bx, by, cx, cy, px, py) -> tuple:
-    """Doubled signed areas of (b, c, p), (c, a, p) and (a, b, p) for pixel p."""
-    return (
-        (cx - bx) * (py - by) - (cy - by) * (px - bx),
-        (ax - cx) * (py - cy) - (ay - cy) * (px - cx),
-        (bx - ax) * (py - ay) - (by - ay) * (px - ax),
-    )
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, v) for every integer v in lo[k]..hi[k], k by k: the ranges laid end to end."""
+    count = hi - lo + 1
+    k = np.repeat(np.arange(len(count)), count)
+    v = np.repeat(hi + 1 - np.cumsum(count), count)
+    v += np.arange(len(v))
+    return k, v
 
 
 def render(
@@ -307,12 +301,14 @@ def render(
 ) -> np.ndarray:
     """Rasterize one view: perspective projection, z-buffer, banded Lambertian.
 
-    Edge functions are evaluated for a chunk of triangles at a time, over the
-    pixel window that holds the chunk's bounding boxes. A pixel goes to
-    the triangle of minimum depth among those covering it, and to the lowest
-    face index on ties: the pixel a strict-less depth test leaves when the
-    triangles are drawn one by one in face order. Shading is two-sided
-    (|n.l|) with a constant ambient floor, modulated by the shape's
+    Each face is tested at every pixel centre of its own bounding box (with
+    a one-pixel margin), all faces of the view in one candidate list of
+    (face, pixel) pairs. A pixel goes to the triangle of minimum depth among
+    those covering it, and to the lowest face index on ties: the pixel a
+    strict-less depth test leaves when the triangles are drawn one by one in
+    face order. Every edge function, depth and height rounds as it does in
+    that per-triangle loop, so the image is the same to the bit. Shading is
+    two-sided (|n.l|) with a constant ambient floor, modulated by the shape's
     horizontal albedo bands; pixels not covered by any triangle are the
     background color exactly. mesh is build_mesh(shape), for a caller that
     renders many views of one shape.
@@ -353,48 +349,62 @@ def render(
     )
     i0, i1, j0, j1 = (v[keep].astype(np.int64) for v in (i0, i1, j0, j1))
 
-    # z-buffer, a chunk of faces at a time over the union of their bounding
-    # boxes; the faces sit on the last axis, so argmin reads contiguous memory
-    pixel = np.arange(size)
-    zbuf = np.full((size, size), np.inf)
-    winner = np.full((size, size), -1)
-    for s in range(0, len(faces), FACE_CHUNK):
-        f = slice(s, s + FACE_CHUNK)
-        r = slice(i0[f].min(), i1[f].max() + 1)
-        c = slice(j0[f].min(), j1[f].max() + 1)
-        w0, w1, w2 = _edge_functions(
-            ax[f], ay[f], bx[f], by[f], cx[f], cy[f], xs[None, c, None], ys[r, None, None]
-        )
-        inside = np.where(
-            area2[f] > 0,
-            (w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0),
-            (w0 <= 0.0) & (w1 <= 0.0) & (w2 <= 0.0),
-        )
-        # each face only within its own bounding box, where the per-triangle
-        # loop looked: beyond it, rounding can pass a long sliver's edge test
-        rows, cols = pixel[r, None, None], pixel[None, c, None]
-        inside &= (rows >= i0[f]) & (rows <= i1[f]) & (cols >= j0[f]) & (cols <= j1[f])
-        with np.errstate(divide="ignore"):  # perspective-correct depth
-            depth = 1.0 / ((w0 / z0[f] + w1 / z1[f] + w2 / z2[f]) / area2[f])
-        # NaN and +inf depths never pass a strict-less test against +inf
-        depth[~(inside & (depth < np.inf))] = np.inf
-        k = depth.argmin(axis=2)
-        best = np.take_along_axis(depth, k[..., None], axis=2)[..., 0]
-        closer = best < zbuf[r, c]
-        zbuf[r, c][closer] = best[closer]
-        winner[r, c][closer] = k[closer] + s
+    # A face of negative area has its area and its edge functions negated.
+    # Negation is exact, so coverage reads w >= 0 for every face, and depth
+    # and height, quotients by area2, come out the same. Only the sign of a
+    # zero w can differ; that moves a depth only when all three w are 0,
+    # where the per-triangle loop gets 1/-0 = -inf and writes a NaN pixel,
+    # and the list below drops the pair.
+    sign = np.where(area2 > 0, 1.0, -1.0)
+    area2 = sign * area2
+
+    # candidate list: every (face, pixel) pair inside that face's own bounding
+    # box, where the per-triangle loop looks (beyond it, rounding can pass a
+    # long sliver's edge test), face by face and each box row by row. Box row
+    # r is image row ir[r] of face fr[r], box column c image column jc[c] of
+    # face fc[c], and pair p sits in box row row[p] and box column col[p].
+    fr, ir = _ranges(i0, i1)
+    fc, jc = _ranges(j0, j1)
+    last = np.cumsum(j1 - j0 + 1) - 1   # each face's last box column
+    row, col = _ranges((last - (j1 - j0))[fr], last[fr])
+
+    # The edge function of edge (p, q) at pixel centre (x, y) is
+    # (qx - px) * (y - py) - (qy - py) * (x - px). Its first product depends
+    # only on the box row and its second only on the box column, so each is
+    # taken once per row or column and a pair pays one subtraction: the
+    # per-pixel IEEE operations, so every w rounds the same. A pair leaves
+    # the list at its first failed edge.
+    y, x = ys[ir], xs[jc]
+    w = []
+    for (px, py), (qx, qy) in (((bx, by), (cx, cy)), ((cx, cy), (ax, ay)), ((ax, ay), (bx, by))):
+        on_row = (sign * (qx - px))[fr] * (y - py[fr])
+        on_col = (sign * (qy - py))[fc] * (x - px[fc])
+        wk = on_row[row]
+        wk -= on_col[col]
+        inside = np.flatnonzero(wk >= 0.0)
+        row, col, *w = (v[inside] for v in (row, col, *w, wk))
+    w0, w1, w2 = w
+    f = fc[col]
+    pix = ir[row] * size + jc[col]
+    with np.errstate(divide="ignore"):  # perspective-correct depth
+        depth = 1.0 / ((w0 / z0[f] + w1 / z1[f] + w2 / z2[f]) / area2[f])
+    # NaN and +inf depths never pass a strict-less test against +inf
+    hit = np.flatnonzero(depth < np.inf)
+    f, pix, w0, w1, w2, depth = (v[hit] for v in (f, pix, w0, w1, w2, depth))
+
+    # z-buffer: each pixel goes to its least depth, then its lowest face
+    order = np.lexsort((f, depth, pix))
+    win = order[np.diff(pix[order], prepend=-1) != 0]   # the first pair of each pixel
+    f, pix, w0, w1, w2, depth = (v[win] for v in (f, pix, w0, w1, w2, depth))
 
     # colour each covered pixel from its winning face
-    pi, pj = np.nonzero(winner >= 0)
-    f = winner[pi, pj]
-    w0, w1, w2 = _edge_functions(ax[f], ay[f], bx[f], by[f], cx[f], cy[f], xs[pj], ys[pi])
     vz = verts[faces[f], 2]
     # object-space height of each covered fragment (perspective-correct);
     # drives the banding, so the pattern rides on the surface, not the screen
     hz = (
         w0 * (vz[:, 0] / z0[f]) + w1 * (vz[:, 1] / z1[f]) + w2 * (vz[:, 2] / z2[f])
     ) / area2[f]
-    oz = zbuf[pi, pj] * hz
+    oz = depth * hz
     band = np.sin(2.0 * np.pi * oz / shape.band_period)
 
     light = np.asarray(LIGHT_CAM)
@@ -409,7 +419,7 @@ def render(
     color = np.asarray(shape.albedo)[None, :] * (
         shade[face_of] * (1.0 + BAND_AMPLITUDE * band)
     )[:, None]
-    img[pi, pj] = np.clip(color, 0.0, 1.0)
+    img.reshape(-1, 3)[pix] = np.clip(color, 0.0, 1.0)
     return img
 
 

@@ -52,8 +52,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (self.lr > 0.0):
-            raise ValueError("learning rate must be positive")
+        if not (0.0 < self.lr < math.inf):
+            raise ValueError(f"lr must be positive and finite; got {self.lr}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
 

@@ -137,6 +137,24 @@ def test_attack_target_outside_the_classes_is_a_usage_error(tiny_run, capsys, ta
     assert not (out / "delta.viapdlt").exists()
 
 
+@pytest.mark.parametrize("target,config", [(7, False), (1, True)])
+def test_untargeted_attack_rejects_an_explicit_target(tiny_run, capsys, target, config):
+    root, _, ds_dir, model_dir = tiny_run
+    out = root / f"atk-untargeted-{target}"
+    cfg = root / f"atk-untargeted-{target}.json"
+    cfg.write_text(json.dumps({"attack": {"target": target} if config else {}}))
+    argv = [
+        "attack", "--dataset", str(ds_dir), "--weights", str(model_dir / "weights.viapnet"),
+        "--family", "bim", "--eps", "3", "--iters", "1", "--config", str(cfg), "--out", str(out),
+    ]
+    assert cli.main(argv + ([] if config else ["--target", str(target)])) == cli.EXIT_USAGE
+    assert last_error(capsys)["message"] == f"target {target} selects nothing: bim is untargeted"
+    assert not (out / "delta.viapdlt").exists()
+    # "random", the default, selects nothing either and stays accepted
+    assert cli.main(argv + ["--target", "random"]) == cli.EXIT_OK
+    assert json.loads((out / "metrics.json").read_text())["target"] is None
+
+
 def test_attack_random_target_is_the_sweep_target(tiny_run):
     root, _, ds_dir, model_dir = tiny_run
     weights = str(model_dir / "weights.viapnet")
@@ -391,6 +409,26 @@ def test_sweep_rejects_bad_settings_before_any_work(tmp_path, capsys, cfg, flags
     assert message in last_error(capsys)["message"]
     assert not (out / "dataset").exists()
     assert not (out / "model").exists()
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    ("train", {"train": {"lr": math.inf}}, "lr must be positive and finite; got inf"),
+    ("sweep", {"dataset": TINY_DS, "train": {"lr": math.inf}}, "lr must be positive and finite; got inf"),
+    ("sweep", {"dataset": TINY_DS, "train": {"lr": math.nan}}, "lr must be positive and finite; got nan"),
+    ("dataset", {**TINY_DS, "camera_radius": math.inf}, "setting camera_radius is not a finite number"),
+    ("sweep", {"dataset": {**TINY_DS, "jitter_frac": math.nan}},
+     "setting dataset.jitter_frac is not a finite number"),
+])
+def test_non_finite_setting_is_named_before_any_work(tmp_path, capsys, command, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))  # Infinity and NaN, which json.load reads back
+    out = tmp_path / "out"
+    inputs = {"train": ["--dataset", str(tmp_path / "ds")]}  # read only after the settings pass
+    argv = [command, "--config", str(path), "--out", str(out), *inputs.get(command, [])]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert last_error(capsys)["message"] == message
+    # strict JSON has no Infinity or NaN: no config.json, and no dataset or model
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,cfg,flags", [

@@ -162,6 +162,44 @@ def test_render_keeps_each_face_in_its_bounding_box(monkeypatch):
     assert np.array_equal(img, oracles.render_reference(shape, pose))
 
 
+def test_render_breaks_a_depth_tie_by_face_order(monkeypatch):
+    # Seen from the pole at radius 3, camera space is world space less 3 in
+    # z. The apexes (1, 0, 1) and (2, 0, -1) lie on one camera ray, at depth
+    # 2 and 4, and project to the same point exactly (a power-of-two scale),
+    # so the two faces are one projected triangle in two planes. Its edge
+    # b-c lies on x = 0, where the pixel centres of column 8 of a 17-pixel
+    # image sit: there w0 is exactly 0, and both faces take the same depth.
+    verts = np.array([[1.0, 0.0, 1.0], [2.0, 0.0, -1.0], [0.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
+    pose, size = render.CameraPose(0.0, 0.0, 3.0), 17
+    rot, eye = render._camera_frame(pose)
+    pc = (verts - eye) @ rot.T
+    focal = 1.0 / np.tan(np.radians(render.FOV_DEGREES) / 2.0)
+    ndc = focal * pc[:, :2] / -pc[:, 2:]
+    (bx, by), (cx, cy) = ndc[2], ndc[3]
+    assert np.array_equal(ndc[0], ndc[1]) and bx == cx == 0.0
+
+    def depth_at_centre(apex):  # the per-triangle loop's depth at pixel (8, 8), x = y = 0
+        (ax, ay), z = ndc[apex], -pc[[apex, 2, 3], 2]
+        area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        w = ((cx - bx) * (0.0 - by) - (cy - by) * (0.0 - bx),
+             (ax - cx) * (0.0 - cy) - (ay - cy) * (0.0 - cx),
+             (bx - ax) * (0.0 - ay) - (by - ay) * (0.0 - ax))
+        assert all(v <= 0.0 for v in w) and area2 < 0.0  # covered
+        return 1.0 / ((w[0] / z[0] + w[1] / z[1] + w[2] / z[2]) / area2)
+
+    assert depth_at_centre(0) == depth_at_centre(1)  # the tie
+    shape = render.ShapeSpec(0, "cube", 1.0, (0.5, 0.5, 0.5))
+    imgs = []
+    for faces in ([[0, 2, 3], [1, 2, 3]], [[1, 2, 3], [0, 2, 3]]):
+        monkeypatch.setitem(render._MESH_BUILDERS, "cube", lambda size, f=np.array(faces): (verts, f))
+        imgs.append(render.render(shape, pose, size))
+        assert np.array_equal(imgs[-1], oracles.render_reference(shape, pose, size))
+    # the first face drawn keeps the tied pixel, and the two faces shade differently
+    assert not np.array_equal(imgs[0][8, 8], imgs[1][8, 8])
+    # off the edge the nearer face wins in either order
+    assert np.array_equal(imgs[0][8, 9], imgs[1][8, 9])
+
+
 @pytest.mark.parametrize("corners", [
     [[0.001, 0.001, 0.0], [0.002, 0.001, 0.0], [0.001, 0.002, 0.0]],  # between pixel centres
     [[0.1, 0.1, 0.0], [0.2, 0.2, 0.0], [0.3, 0.3, 0.0]],  # zero area
@@ -178,6 +216,15 @@ def test_default_dataset_pixels_pinned(default_dataset):
     blob = np.ascontiguousarray(default_dataset.images, dtype="<f8").tobytes()
     assert hashlib.sha256(blob).hexdigest() == (
         "a2c2c3ffd03a967e22c07cea625827ff582e16f6c101897cab3000b09448b38b"
+    )
+
+
+def test_wide_dataset_pixels_pinned():
+    # the 320-view grid the render-train-wide benchmark workload renders
+    ds = render.generate_dataset(objects_per_class=4, views_per_object=20)
+    blob = np.ascontiguousarray(ds.images, dtype="<f8").tobytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "c1ae937759a029efa57286c31fde6ac427b8465599cbf579777b38b906d2d8b0"
     )
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -56,6 +57,9 @@ def test_train_config_validation():
         train.TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         train.TrainConfig(lr=0.0)
+    for lr in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            train.TrainConfig(lr=lr)
     with pytest.raises(ValueError):
         train.TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
