@@ -123,15 +123,40 @@ def loss_labels(config: AttackConfig, labels) -> np.ndarray:
     return np.full(labels.shape, int(config.target), dtype=np.int64)
 
 
-def clean_sign(params: nn.ModelParams, images: np.ndarray, loss_labels) -> np.ndarray:
-    """int8 sign of the loss gradient at the clean images: bim_batch's first step direction.
+def clean_sign(params: nn.ModelParams, images: np.ndarray, loss_labels) -> tuple[float, np.ndarray]:
+    """Loss and int8 gradient sign at the clean images: bim_batch's first step.
 
-    loss_labels are those loss_labels() returns. The sign does not depend on
-    eps, so one call serves every fgsm step and every bim first step on the
-    same stack and labels.
+    loss_labels are those loss_labels() returns. Neither depends on eps, so
+    one call serves every fgsm step and every bim first step on the same
+    stack and labels, as bim_batch's first_step.
     """
-    _, grad = nn.loss_and_input_grad(params, images, loss_labels)
-    return np.sign(grad).astype(np.int8)
+    loss, grad = nn.loss_and_input_grad(params, images, loss_labels)
+    return loss, np.sign(grad).astype(np.int8)
+
+
+def _sign_steps(grad, delta: np.ndarray, config: AttackConfig, trace=None, first_step=None):
+    """BIM's update (Kurakin et al. 2016) on delta; returns the final delta.
+
+    grad(delta) is the (loss, gradient) the step follows; first_step, if
+    given, stands for the first call. Each step ascends the loss (untargeted)
+    or descends it (targeted) by step_unit times the gradient's sign, and
+    clamps delta back to [-eps, +eps]. trace(n, delta, loss, g) sees every
+    step's new delta and the loss and gradient it came from.
+
+    The budget accumulates in delta rather than by clipping a position
+    against the ball: the forms agree mathematically, but only this one
+    walks the same float path for bim's clamped views and viap's raw ones,
+    bit for bit on a single view while the range clamp is slack.
+    """
+    e = config.eps_unit
+    step = config.step_unit
+    sgn = -1.0 if targeted(config.family) else 1.0
+    for n in range(config.iterations):
+        loss, g = first_step if n == 0 and first_step is not None else grad(delta)
+        delta = np.clip(delta + sgn * step * np.sign(g), -e, e)
+        if trace is not None:
+            trace(n, delta, loss, g)
+    return delta
 
 
 def bim_batch(
@@ -141,41 +166,28 @@ def bim_batch(
     config: AttackConfig,
     trace=None,
     *,
-    first_sign: np.ndarray | None = None,
+    first_step: tuple[float, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Iterated sign steps with per-iteration ball and range clipping, per image.
+    """Sign steps per image, each from the gradient at the range-clamped views.
 
     The kernel of fgsm, fgsm-t, bim and bim-t; fgsm is one step of size eps.
     labels are the true labels; a targeted family reads its target from
-    config. Each image in the stack evolves independently (sign() makes the
-    batch mean-loss scaling irrelevant). first_sign, if given, is
-    clean_sign() of the same stack and loss labels and replaces the first
-    iteration's gradient call with the same bits.
-
-    The budget accumulates in its own field rather than by clipping the
-    position against the ball: the forms agree mathematically, but only this
-    one retraces viap's float arithmetic bit for bit on a single view while
-    the range clamp is slack.
+    config. delta starts at zero and each image in the stack evolves
+    independently (sign() makes the batch mean-loss scaling irrelevant).
+    first_step, if given, is clean_sign() of the same stack and loss labels
+    and replaces the first gradient call with the same bits. Returns the
+    adversarial views clip(images + delta, 0, 1).
     """
     images = nn.as_f64(images)
-    if first_sign is not None and first_sign.shape != images.shape:
-        raise ValueError(f"first_sign shape {first_sign.shape} does not match images {images.shape}")
+    if first_step is not None and first_step[1].shape != images.shape:
+        raise ValueError(f"first_step's sign has shape {first_step[1].shape}, not {images.shape}")
     y = loss_labels(config, labels)
-    e = config.eps_unit
-    step = config.step_unit
-    sgn = -1.0 if targeted(config.family) else 1.0
-    adv = images.copy()
-    delta = np.zeros_like(images)
-    sign = first_sign
-    for n in range(config.iterations):
-        if n > 0 or sign is None:
-            _, grad = nn.loss_and_input_grad(params, adv, y)
-            sign = np.sign(grad)
-        delta = np.clip(delta + sgn * step * sign, -e, e)
-        adv = np.clip(images + delta, 0.0, 1.0)
-        if trace is not None:
-            trace(n, adv)
-    return adv
+
+    def grad(delta):
+        return nn.loss_and_input_grad(params, np.clip(images + delta, 0.0, 1.0), y)
+
+    delta = _sign_steps(grad, np.zeros_like(images), config, trace, first_step)
+    return np.clip(images + delta, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,50 +244,37 @@ def viap_arrays(
     """Craft one universal delta over a stack of views: the viap / viap-t kernel.
 
     labels are the true labels; viap-t reads its target from config. delta
-    starts at U(-rho, rho) projected into the ball, then takes
-    sign-of-shared-gradient steps — ascending the true-label loss
-    (untargeted) or descending the target-label loss (targeted) — with a
-    clamp back to [-eps, +eps] after every update. The crafting batch is the
-    raw X_i + delta (no pixel-range clamp); the clamp to [0,1] belongs to
-    application time, keeping delta view-independent. Returns the final delta.
+    starts at U(-rho, rho) projected into the ball, then takes sign steps on
+    the shared gradient. The crafting batch is the raw X_i + delta (no
+    pixel-range clamp); the clamp to [0,1] belongs to application time,
+    keeping delta view-independent. Returns the final delta.
     """
     images = nn.as_f64(images)
     if images.ndim != 4 or images.shape[0] < 1:
         raise ValueError("need a non-empty stack of views")
     y = loss_labels(config, labels)
-
-    e = config.eps_unit
-    step = config.step_unit
-    sgn = -1.0 if targeted(config.family) else 1.0
     shape = images.shape[1:]
-
     rng = prng.PCG64(config.seed)
     delta = rng.uniform(-config.rho, config.rho, size=shape) if config.rho > 0 else np.zeros(shape)
-    delta = np.clip(delta, -e, e)
-
-    for n in range(config.iterations):
-        loss, g = shared_gradient(params, images + delta, y)
-        delta = np.clip(delta + sgn * step * np.sign(g), -e, e)
-        if trace is not None:
-            trace(n, delta, loss, g)
-    return delta
+    delta = np.clip(delta, -config.eps_unit, config.eps_unit)
+    return _sign_steps(lambda d: shared_gradient(params, images + d, y), delta, config, trace)
 
 
 def craft(
     params: nn.ModelParams, images: np.ndarray, labels, config: AttackConfig,
-    *, first_sign: np.ndarray | None = None,
+    *, first_step: tuple[float, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Attack a stack of one object's views; returns (adv_views, delta).
 
     delta carries the attack to unseen views: viap's shared delta, or the
     per-image families' mean noise (a mean of eps-ball noises stays in the ball).
-    first_sign is passed on to bim_batch; the viap families do not use it.
+    first_step is passed on to bim_batch; the viap families do not use it.
     """
     if config.family in VIAP_FAMILIES:
         delta = viap_arrays(params, images, labels, config)
         adv_views = apply_delta(delta, images)
     else:
-        adv_views = bim_batch(params, images, labels, config, first_sign=first_sign)
+        adv_views = bim_batch(params, images, labels, config, first_step=first_step)
         delta = (adv_views - images).mean(axis=0)
     _check_in_ball(delta, config)
     return adv_views, delta

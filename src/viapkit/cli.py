@@ -206,6 +206,17 @@ def _train_and_save(
     return params
 
 
+def _load_weights(path, ds: render.Dataset, ds_path) -> nn.ModelParams:
+    """The weights at path, refused unless their input and class count are the dataset's."""
+    params = nn.load_params(path)
+    theirs = (params.height, params.width, params.channels, params.classes)
+    ours = (*ds.images.shape[1:], ds.n_classes)
+    if theirs != ours:
+        raise ValueError(f"weights {path} take (height, width, channels, classes) {theirs}, "
+                         f"but dataset {ds_path} has {ours}")
+    return params
+
+
 def cmd_train(args) -> int:
     file_cfg = _section(_load_config_file(args.config), "train")
     cfg = _merge(DEFAULT_TRAIN_CFG, SETTING_TYPES["train"], file_cfg, {"seed": args.seed})
@@ -252,7 +263,7 @@ def cmd_attack(args) -> int:
     acfg = _echo_config(cfg, out, settings)
     eps = acfg.eps
     ds = render.load_dataset(args.dataset)
-    params = nn.load_params(args.weights)
+    params = _load_weights(args.weights, ds, args.dataset)
     o = cfg["object"]
     tr = ds.indices("train", object_id=o)
     te = ds.indices("test", object_id=o)
@@ -329,7 +340,7 @@ def cmd_sweep(args) -> int:
         ds = render.generate_dataset(os.path.join(out, "dataset"), jobs, **dataset_cfg)
 
     if args.weights:
-        params = nn.load_params(args.weights)
+        params = _load_weights(args.weights, ds, args.dataset or os.path.join(out, "dataset"))
     else:
         params = _train_and_save(tcfg, ds, os.path.join(out, "model"), jobs)
 

@@ -275,7 +275,8 @@ def confidence_sweep(
     noise) is applied to its test views. eps = 0 short-circuits to clean
     images for every family: its cells read the clean forward pass of each
     split that the gate reads. The per-image families share one clean-view
-    gradient sign per object and direction (attacks.clean_sign).
+    first step (loss and gradient sign) per object and direction
+    (attacks.clean_sign).
 
     Objects are independent, so the sweep is one work list of every
     (family, eps > 0, object), run in one round on `jobs` processes
@@ -332,11 +333,11 @@ def confidence_sweep(
     for p in sample_pos:
         result.samples_clean[int(test_idx[p])] = ppm_pixels(images[test_idx[p]])
 
-    # fgsm's step and bim's first step take the sign of the gradient at the
+    # fgsm's step and bim's first step take the loss and gradient sign at the
     # clean training views, the same at every eps: one call per object and
     # direction (untargeted / targeted) serves them all
     directions = {attacks.targeted(f) for f in config.families if f not in attacks.VIAP_FAMILIES}
-    clean_signs = {
+    clean_steps = {
         (o, tgt): attacks.clean_sign(
             params, images[tr_rows[o]],
             np.full(len(tr_pos[o]), targets[o]) if tgt else y_tr[tr_pos[o]],
@@ -359,7 +360,7 @@ def confidence_sweep(
         )
         adv, delta = attacks.craft(
             params, images[tr_rows[o]], y_tr[tr_pos[o]], cfg,
-            first_sign=clean_signs.get((o, attacks.targeted(family))),
+            first_step=clean_steps.get((o, attacks.targeted(family))),
         )
         adv_te = attacks.apply_delta(delta, images[te_rows[o]])
         return (nn.softmax(nn.forward(params, adv)), nn.softmax(nn.forward(params, adv_te)),

@@ -23,7 +23,6 @@ import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 CONV1_CHANNELS = 8
 CONV2_CHANNELS = 16
@@ -62,40 +61,36 @@ def _scratch_view(name: str, shape: tuple) -> np.ndarray:
     return _scratch[name][:size].reshape(shape)
 
 
-def _patches(x: np.ndarray) -> np.ndarray:
-    """3x3 zero-padded patch matrix of an NHWC batch: (B, H, W, 9*C), a view of the scratch.
+def _patch_blocks(x: np.ndarray, n: int):
+    """Yield (i, patch matrix of x[i : i + n]) for every block of n images, a view of the scratch.
 
-    Patch columns are ordered (row, col, channel) to match a reshaped
-    (3, 3, C, out) kernel. The 3 pixels x C channels of one kernel row are
-    contiguous in the padded image, so one strided view covers every patch.
+    A block's matrix is its 3x3 zero-padded patches, (m, H, W, 9*C), valid
+    until the next block is built. Patch columns are ordered (row, col,
+    channel) to match a reshaped (3, 3, C, out) kernel. The 3 pixels x C
+    channels of one kernel row are contiguous in the padded image, so one
+    strided view covers every patch.
     """
     b, h, w, c = x.shape
-    padded = _scratch_view("padded", (b, h + 2, w + 2, c))
-    padded[:, :: h + 1] = padded[:, :, :: w + 1] = 0.0  # the border rows, then columns
-    padded[:, 1:-1, 1:-1] = x
-    s = padded.strides
-    rows = as_strided(padded, (b, h, w, KERNEL, KERNEL * c), (s[0], s[1], s[2], s[1], s[3]))
-    cols = _scratch_view("cols", rows.shape)
-    np.copyto(cols, rows)
-    return cols.reshape(b, h, w, -1)
-
-
-def _conv_blocks(x: np.ndarray, w2d: np.ndarray) -> np.ndarray:
-    """_patches(x) @ w2d, (B, H, W, 9*C) @ (9*C, N), built and multiplied a block at a time."""
-    b, h, w, c = x.shape
-    n = min(b, max(1, BLOCK_BYTES // (h * w * w2d.shape[0] * x.itemsize)))
     padded = _scratch_view("padded", (n, h + 2, w + 2, c))
     padded[:, :: h + 1] = padded[:, :, :: w + 1] = 0.0  # the border rows, then columns
     cols = _scratch_view("cols", (n, h, w, KERNEL, KERNEL * c))
     s = padded.strides
     rows = np.ndarray(cols.shape, padded.dtype, padded, 0, (s[0], s[1], s[2], s[1], s[3]))
-    out = np.empty((b, h, w, w2d.shape[1]))
     for i in range(0, b, n):
         m = min(n, b - i)
         padded[:m, 1:-1, 1:-1] = x[i : i + m]
         np.copyto(cols[:m], rows[:m])
+        yield i, cols[:m].reshape(m, h, w, -1)
+
+
+def _conv_blocks(x: np.ndarray, w2d: np.ndarray) -> np.ndarray:
+    """x's patch matrix @ w2d, (B, H, W, 9*C) @ (9*C, N), built and multiplied a block at a time."""
+    b, h, w, _ = x.shape
+    n = min(b, max(1, BLOCK_BYTES // (h * w * w2d.shape[0] * x.itemsize)))
+    out = np.empty((b, h, w, w2d.shape[1]))
+    for i, cols in _patch_blocks(x, n):
         # a GEMM per image row, as unblocked: BLAS rounds a row by its tile place
-        np.matmul(cols[:m].reshape(m, h, w, -1), w2d, out=out[i : i + m])
+        np.matmul(cols, w2d, out=out[i : i + len(cols)])
     return out
 
 
@@ -115,7 +110,7 @@ def conv2d_input_grad(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
 def conv2d_param_grad(x: np.ndarray, dy: np.ndarray, cout: int) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of conv2d w.r.t. kernel and bias."""
     # one whole-batch GEMM: a reduction over row blocks would change its bits
-    cols = _patches(x)
+    ((_, cols),) = _patch_blocks(x, len(x))
     dw = cols.reshape(-1, cols.shape[-1]).T @ dy.reshape(-1, cout)
     dw = dw.reshape(KERNEL, KERNEL, x.shape[-1], cout)
     db = dy.sum(axis=(0, 1, 2))

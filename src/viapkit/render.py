@@ -315,14 +315,15 @@ def render(
     """
     verts, faces = build_mesh(shape) if mesh is None else mesh
     bound = float(np.linalg.norm(verts, axis=1).max())
+    inside = f"camera radius {pose.radius} is inside the object (bounding radius {bound:.3f})"
     if pose.radius <= bound:
-        raise ValueError(
-            f"camera radius {pose.radius} is inside the object (bounding radius {bound:.3f})"
-        )
+        raise ValueError(inside)
 
     rot, eye = _camera_frame(pose)
     pc = (verts - eye) @ rot.T
     depth_v = -pc[:, 2]           # positive distances along the view axis
+    if depth_v.min() <= 1e-9:     # r > bound keeps each depth >= r - bound, up to rounding
+        raise ValueError(inside)
     focal = 1.0 / math.tan(math.radians(FOV_DEGREES) / 2.0)
     ndc = focal * pc[:, :2] / depth_v[:, None]
 
@@ -332,8 +333,7 @@ def render(
     xs = (2.0 * np.arange(size) + 1.0 - size) / size
     ys = (size - 1.0 - 2.0 * np.arange(size)) / size
 
-    # per-face setup; a face behind the camera cannot occur for r > bound
-    faces = faces[depth_v[faces].min(axis=1) > 1e-9]
+    # per-face setup; every vertex is in front of the camera
     z0, z1, z2 = depth_v[faces].T
     (ax, ay), (bx, by), (cx, cy) = (ndc[faces[:, k]].T for k in range(3))
     area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)

@@ -144,7 +144,8 @@ def test_criterion_03_ball_and_range_fuzz_1000():
                 iterations=1 if family in attacks.SINGLE_STEP_FAMILIES else iters,
             )
             steps = []
-            attacks.bim_batch(params, x, y, cfg, trace=lambda n, adv: steps.append(adv.copy()))
+            attacks.bim_batch(params, x, y, cfg, trace=lambda n, delta, loss, g: steps.append(
+                np.clip(x + delta, 0.0, 1.0)))
             assert len(steps) == cfg.iterations
             for adv in steps:
                 in_ball(adv)
@@ -202,8 +203,8 @@ def test_criterion_04_bim1_equals_fgsm_and_viap_tracks_bim(pipeline):
         bcfg = attacks.AttackConfig(family="bim", eps=eps, iterations=iters,
                                     literal_eq_step=True)
         positions = [x1]
-        attacks.bim_batch(params, x1, y1, bcfg,
-                          trace=lambda n, adv: positions.append(adv.copy()))
+        attacks.bim_batch(params, x1, y1, bcfg, trace=lambda n, delta, loss, g: positions.append(
+            np.clip(x1 + delta, 0.0, 1.0)))
         for n in range(iters):
             _, g = nn.loss_and_input_grad(params, positions[n], y1)
             assert np.array_equal(v_dirs[n], np.sign(g[0])), f"direction differs at iter {n}"

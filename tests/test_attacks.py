@@ -153,13 +153,54 @@ def test_bim_ball_invariant_every_iteration(rng):
     cfg = attacks.AttackConfig("bim", 6.0, iterations=5)
     seen = []
 
-    def trace(n, adv):
+    def trace(n, delta, loss, g):
         seen.append(n)
+        assert np.max(np.abs(delta)) <= cfg.eps_unit + 1e-12
+        adv = np.clip(x + delta, 0.0, 1.0)
         assert np.max(np.abs(adv - x)) <= cfg.eps_unit + 1e-12
         assert adv.min() >= 0.0 and adv.max() <= 1.0
 
     attacks.bim_batch(params, x, y, cfg, trace=trace)
     assert seen == list(range(5))
+
+
+def test_bim_trace_loss_is_the_loss_at_each_steps_views(rng):
+    # each record's loss and gradient are loss_and_input_grad's at the views
+    # the step was taken from: the clean views, then clip(x + previous delta)
+    params = tiny_params(1)
+    x = rng.uniform(0, 1, size=(3, 8, 8, 3))
+    y = np.array([0, 3, 1])
+    for cfg in (attacks.AttackConfig("bim", 6.0, iterations=5),
+                attacks.AttackConfig("bim-t", 6.0, iterations=5, target=2)):
+        records = []
+        attacks.bim_batch(params, x, y, cfg,
+                          trace=lambda n, delta, loss, g: records.append((delta, loss, g)))
+        assert len(records) == 5
+        views = x
+        for delta, loss, g in records:
+            want_loss, want_g = nn.loss_and_input_grad(params, views, attacks.loss_labels(cfg, y))
+            assert loss == want_loss
+            assert np.array_equal(g, want_g)
+            views = np.clip(x + delta, 0.0, 1.0)
+
+
+def test_bim_reused_first_step_carries_clean_loss(rng):
+    params = tiny_params(2)
+    x = rng.uniform(0, 1, size=(3, 8, 8, 3))
+    y = np.array([2, 0, 1])
+    for cfg in (attacks.AttackConfig("fgsm", 4.0), attacks.AttackConfig("bim", 4.0, iterations=3),
+                attacks.AttackConfig("fgsm-t", 4.0, target=3)):
+        first = attacks.clean_sign(params, x, attacks.loss_labels(cfg, y))
+        reused, fresh = [], []
+        adv = attacks.bim_batch(params, x, y, cfg, first_step=first,
+                                trace=lambda n, delta, loss, g: reused.append((delta, loss, g)))
+        want = attacks.bim_batch(params, x, y, cfg,
+                                 trace=lambda n, delta, loss, g: fresh.append((delta, loss, g)))
+        assert np.array_equal(adv, want)
+        assert reused[0][1] == fresh[0][1] == first[0]
+        assert np.array_equal(np.sign(reused[0][2]), np.sign(fresh[0][2]))
+        for (d_reused, loss_reused, _), (d_fresh, loss_fresh, _) in zip(reused, fresh):
+            assert np.array_equal(d_reused, d_fresh) and loss_reused == loss_fresh
 
 
 def test_bim_single_step_literal_equals_fgsm(rng):
@@ -262,10 +303,10 @@ def test_viap_single_view_matches_bim_directions(rng):
                         trace=lambda n, d, loss, g: viap_signs.append(np.sign(g)))
     prev = [x.copy()]
 
-    def bim_trace(n, adv):
+    def bim_trace(n, delta, loss, g):
         _, g = nn.loss_and_input_grad(params, prev[0], y)
         bim_signs.append(np.sign(g[0]))
-        prev[0] = adv.copy()
+        prev[0] = np.clip(x + delta, 0.0, 1.0)
 
     bim_cfg = attacks.AttackConfig("bim", 2.0, iterations=4, literal_eq_step=True)
     attacks.bim_batch(params, x, y, bim_cfg, trace=bim_trace)

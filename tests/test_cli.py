@@ -597,6 +597,28 @@ def test_class_id_outside_the_classes_is_a_usage_error(tiny_run, tmp_path, capsy
         assert "malformed dataset" in last_error(capsys)["message"]
 
 
+@pytest.mark.parametrize("arch", [
+    pytest.param((32, 32, 3, 3), id="fewer-classes"),
+    pytest.param((32, 32, 3, 5), id="more-classes"),
+    pytest.param((16, 16, 3, 4), id="image-size"),
+])
+def test_weights_that_do_not_fit_the_dataset_are_usage_errors(tiny_run, tmp_path, capsys, arch):
+    _, _, ds_dir, _ = tiny_run
+    assert render.load_dataset(ds_dir).images.shape[1:] == (32, 32, 3)
+    weights = tmp_path / "w.viapnet"
+    nn.save_params(train.init_params(0, *arch), weights)
+    for argv in (
+        ["attack", "--family", "fgsm", "--eps", "2"],
+        ["sweep", "--family", "fgsm", "--eps", "0,2"],
+    ):
+        rc = cli.main(argv + ["--dataset", str(ds_dir), "--weights", str(weights),
+                              "--out", str(tmp_path / argv[0])])
+        assert rc == cli.EXIT_USAGE, argv[0]
+        message = last_error(capsys)["message"]
+        assert str(weights) in message and str(ds_dir) in message, message
+        assert str(arch) in message and "(32, 32, 3, 4)" in message, message
+
+
 def viapkit_env(**extra) -> dict:
     """The environment of a child process that imports this viapkit."""
     src = str(Path(viapkit.__file__).resolve().parent.parent)

@@ -361,10 +361,10 @@ def test_shared_clean_sign_leaves_every_cell_unchanged(tiny_dataset, victim, mon
     real_craft = attacks.craft
 
     def recording(crafts, keep_sign):
-        def craft(*args, first_sign=None):
-            adv, delta = real_craft(*args, first_sign=first_sign if keep_sign else None)
+        def craft(*args, first_step=None):
+            adv, delta = real_craft(*args, first_step=first_step if keep_sign else None)
             cfg = args[3]
-            crafts[(cfg.family, cfg.eps, cfg.seed)] = (first_sign is not None, adv.copy(), delta)
+            crafts[(cfg.family, cfg.eps, cfg.seed)] = (first_step is not None, adv.copy(), delta)
             return adv, delta
         return craft
 

@@ -270,8 +270,12 @@ def test_pool_ties_route_to_the_first_maximum():
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
 def test_patches_match_pad_reference(rng, shape):
+    # whole-batch, as conv2d_param_grad builds it, and in blocks of two images
     x = tied_batch(rng, shape)
-    assert_same_bits(nn._patches(x), oracles.patches_reference(x))
+    ref = oracles.patches_reference(x)
+    for n in (len(x), 2):
+        for i, cols in nn._patch_blocks(x, n):
+            assert_same_bits(cols, ref[i : i + len(cols)])
 
 
 @pytest.mark.parametrize("batch,hw,block_bytes", [

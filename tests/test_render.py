@@ -131,6 +131,19 @@ def reference_cases():
     return cases
 
 
+def test_render_refuses_a_vertex_at_the_camera():
+    # the camera just outside the bounding sphere, over the sphere's pole
+    # vertex: a radius the radius check passes, but the vertex sits within
+    # 1e-9 of the camera
+    shape = render.make_object("sphere", 1, seed=9)
+    verts = render.build_mesh(shape)[0]
+    bound = float(np.linalg.norm(verts, axis=1).max())
+    pose = render.CameraPose(0.0, 0.0, bound * (1.0 + 1e-10))
+    assert pose.radius > bound
+    with pytest.raises(ValueError, match="inside the object"):
+        render.render(shape, pose)
+
+
 def test_render_matches_per_triangle_reference():
     for shape, pose, size in reference_cases():
         img = render.render(shape, pose, size)
