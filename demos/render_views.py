@@ -1,16 +1,17 @@
 """Render one procedural object from its viewpoint ring and dump the frames.
 
-Walks the same path the dataset generator takes for a single object: build a
-shape spec, visit every base pose, apply the multiplicative pose jitter, and
-rasterize. Frames land in OUT as PPMs you can open with any image viewer.
+Walks the same path the dataset generator takes for the first object of a
+class: draw its shape spec from the (seed, class, 0) seed stream, visit every
+base pose, apply the multiplicative pose jitter from the (seed, class, 0, view)
+stream, and rasterize. At the default --views and --jitter, frame v is view v
+of that object in `generate_dataset(seed=SEED)` with its other settings at
+their defaults. Frames land in OUT as PPMs you can open with any image viewer.
 """
 
 import argparse
 import os
 
-import numpy as np
-
-from viapkit import render
+from viapkit import prng, render
 
 
 def main():
@@ -23,13 +24,14 @@ def main():
     args = ap.parse_args()
 
     class_id = render.CLASS_KINDS.index(args.kind)
-    spec = render.make_object(args.kind, class_id, seed=args.seed)
+    obj_seed = prng.generate_state([args.seed, class_id, 0], 1)[0]
+    spec = render.make_object(args.kind, class_id, seed=obj_seed)
     print(f"object: kind={spec.kind} size={spec.size:.3f} band_period={spec.band_period}")
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([args.seed, class_id])))
     os.makedirs(args.out, exist_ok=True)
     print(f"{'view':>4} {'theta':>8} {'phi':>8} {'radius':>7}   file")
     for v, base in enumerate(render.base_viewpoints(args.views, radius=3.0)):
+        rng = prng.PCG64([args.seed, class_id, 0, v])
         pose = render.sample_camera(base, args.jitter, rng, axis_restrict="theta")
         img = render.render(spec, pose)
         path = os.path.join(args.out, f"{args.kind}_{v:02d}.ppm")

@@ -166,15 +166,20 @@ def _echo_config(cfg: dict, out_dir, check=lambda: None):
     return check()
 
 
+# argparse prints an ArgumentTypeError's message, and hides any other's
 def _parse_eps(text: str) -> list:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise ValueError(f"--eps expects a comma-separated list of numbers: {exc}") from exc
+        raise argparse.ArgumentTypeError(
+            f"--eps expects a comma-separated list of numbers: {exc}") from exc
 
 
 def _parse_target(text: str):
-    return text if text == "random" else int(text)
+    try:
+        return text if text == "random" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"--target expects a label id or 'random'; got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +271,9 @@ def cmd_attack(args) -> int:
     params = _load_weights(args.weights, ds, args.dataset)
     o = cfg["object"]
     tr = ds.indices("train", object_id=o)
-    te = ds.indices("test", object_id=o)
     if len(tr) == 0:
         raise ValueError(f"object {o} has no training views")
-    imgs, lbls = ds.images[tr], ds.labels[tr]
-    true_label = int(lbls[0])
+    true_label = int(ds.labels[tr[0]])
 
     target = None
     if attacks.targeted(family):
@@ -285,8 +288,9 @@ def cmd_attack(args) -> int:
     acfg = dataclasses.replace(
         acfg, target=target, seed=evaluate.attack_seed(cfg["seed"], family, eps, o))
 
-    adv, delta = attacks.craft(params, imgs, lbls, acfg)
-    loss, _ = nn.softmax_cross_entropy(nn.forward(params, adv), attacks.loss_labels(acfg, lbls))
+    adv_train, delta, adv_test, logits_train, logits_test = evaluate.attack_object(
+        params, ds, acfg, o)
+    loss, _ = nn.softmax_cross_entropy(logits_train, attacks.loss_labels(acfg, ds.labels[tr]))
     pert = attacks.Perturbation(delta, acfg, ds.view_ids[tr].tolist(), loss)
 
     attacks.save_perturbation(pert, os.path.join(out, "delta.viapdlt"))
@@ -294,16 +298,15 @@ def cmd_attack(args) -> int:
     metrics = {"family": family, "eps": eps, "object": o, "true_label": true_label,
                "target": target, "final_loss": pert.final_loss}
     # the train split scores the crafted views, as final_loss and the sweep's train cell do
-    for split, idx, adv_split in (("train", tr, adv), ("test", te, pert.apply(ds.images[te]))):
-        if len(idx) == 0:
-            continue
-        logits = nn.forward(params, adv_split)
+    te = ds.indices("test", object_id=o)
+    for split, idx, adv, logits in (("train", tr, adv_train, logits_train),
+                                    ("test", te, adv_test, logits_test)):
         probs = nn.softmax(logits)
         metrics[f"{split}_tracked_softmax"] = float(probs[:, tracked_label].mean())
         metrics[f"{split}_top1_true"] = float(np.mean(np.argmax(logits, axis=1) == ds.labels[idx]))
         write_idx = int(idx[0])
         render.write_ppm(ds.images[write_idx], os.path.join(out, f"clean_{split}_{write_idx}.ppm"))
-        render.write_ppm(adv_split[0], os.path.join(out, f"adv_{split}_{write_idx}.ppm"))
+        render.write_ppm(adv[0], os.path.join(out, f"adv_{split}_{write_idx}.ppm"))
     with open(os.path.join(out, "metrics.json"), "w") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")

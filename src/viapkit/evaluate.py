@@ -218,8 +218,8 @@ class SweepResult:
     cells: list = field(default_factory=list)
     ttests: list = field(default_factory=list)
     split_indices: dict = field(default_factory=dict)
-    samples: dict = field(default_factory=dict)        # (family, eps, view idx) -> pixels
-    samples_clean: dict = field(default_factory=dict)  # view idx -> pixels
+    samples: dict = field(default_factory=dict)        # (family, eps, dataset row) -> pixels
+    samples_clean: dict = field(default_factory=dict)  # dataset row -> pixels
 
     def cell(self, family: str, eps: float, split: str) -> Cell:
         for c in self.cells:
@@ -249,11 +249,25 @@ def attack_seed(seed: int, family: str, eps: float, object_id: int) -> int:
     return prng.generate_state(parts, 1)[0]
 
 
+def attack_object(params: nn.ModelParams, dataset: Dataset, config: AttackConfig, o: int,
+                  first_step=None) -> tuple[np.ndarray, ...]:
+    """Attack object o, as sweep and attack both do.
+
+    attacks.craft (given first_step) attacks o's training views, and the
+    delta it returns is applied to o's test views, which it never saw. Returns
+    (adv_train, delta, adv_test, logits_train, logits_test): one forward a split.
+    """
+    train_rows, test_rows = (dataset.indices(split, object_id=o) for split in ("train", "test"))
+    adv_train, delta = attacks.craft(params, dataset.images[train_rows],
+                                     dataset.labels[train_rows], config, first_step=first_step)
+    adv_test = attacks.apply_delta(delta, dataset.images[test_rows])
+    return adv_train, delta, adv_test, nn.forward(params, adv_train), nn.forward(params, adv_test)
+
+
 def _make_cell(family, eps, split, probs, labels, targets_pv) -> Cell:
     is_targeted = attacks.targeted(family)
     pred = np.argmax(probs, axis=1)
-    rows = np.arange(len(labels))
-    tracked = probs[rows, targets_pv] if is_targeted else probs[rows, labels]
+    tracked = probs[np.arange(len(labels)), targets_pv if is_targeted else labels]
     return Cell(
         family=family, eps=float(eps), split=split,
         metric="target_softmax" if is_targeted else "true_softmax",
@@ -270,86 +284,71 @@ def confidence_sweep(
 ) -> SweepResult:
     """Craft-on-train / score-on-both sweep over every (family, eps) cell.
 
-    Per object: attacks.craft attacks its training views, and the delta it
-    returns (viap's shared delta, or the per-image families' mean training
-    noise) is applied to its test views. eps = 0 short-circuits to clean
-    images for every family: its cells read the clean forward pass of each
-    split that the gate reads. The per-image families share one clean-view
-    first step (loss and gradient sign) per object and direction
-    (attacks.clean_sign).
+    Per object, attack_object crafts on its training views and carries the
+    delta (viap's shared delta, or the per-image families' mean training
+    noise) to its test views. eps = 0 short-circuits to clean images for
+    every family: its cells read the clean forward pass of each split that
+    the gate reads. The per-image families share one clean-view first step
+    (loss and gradient sign) per object and direction (attacks.clean_sign).
 
     Objects are independent, so the sweep is one work list of every
     (family, eps > 0, object), run in one round on `jobs` processes
     (forked.Helpers): this one and the crafters, forked after the clean
-    signs are taken. Each item crafts its object, scores its own views and
-    sends back their softmax rows and sample pixels, never the views. Every
-    output bit, and the order of samples, is the same for any jobs.
+    signs are taken. Each item attacks its object and sends back the softmax
+    rows of its views and their sample pixels, never the views. Every output
+    bit, and the order of samples, is the same for any jobs.
 
-    Views are read from dataset.images by row when a stage needs them: the
-    clean forward a block at a time (nn.forward), and each craft its
-    object's views. No split of the images is copied.
+    Softmax rows are kept per (family, eps) in one array indexed by dataset
+    row, which each cell slices by split. Views are read from dataset.images
+    by row when a stage needs them, so no split of the images is copied.
     """
-    images = dataset.images
-    train_idx = dataset.indices("train")
-    test_idx = dataset.indices("test")
-    y_tr, y_te = dataset.labels[train_idx], dataset.labels[test_idx]
+    images, labels = dataset.images, dataset.labels
+    splits = {split: dataset.indices(split) for split in ("train", "test")}
     k = dataset.n_classes
 
     # one clean forward per split serves the gate and every eps = 0 cell
-    clean, clean_probs = {}, {}
-    for split, idx, y in (("train", train_idx, y_tr), ("test", test_idx, y_te)):
+    clean, clean_probs = {}, np.empty((len(images), k))
+    for split, idx in splits.items():
         logits = nn.forward(params, images, idx)
-        clean[f"{split}_acc"], clean[f"{split}_true_softmax"] = train.clean_metrics(logits, y)
-        clean_probs[split] = nn.softmax(logits)
+        clean[f"{split}_acc"], clean[f"{split}_true_softmax"] = train.clean_metrics(
+            logits, labels[idx])
+        clean_probs[idx] = nn.softmax(logits)
     if clean["train_acc"] < config.gate_train or clean["test_acc"] < config.gate_test:
         raise GateFailure(
             {"train_acc": clean["train_acc"], "test_acc": clean["test_acc"],
              "gate_train": config.gate_train, "gate_test": config.gate_test}
         )
 
+    # an object's views as rows of images: (train rows, test rows)
     objects = dataset.objects()
-    obj_label = {o: int(dataset.labels[dataset.indices(object_id=o)][0]) for o in objects}
-    targets = {o: draw_target(config.seed, o, obj_label[o], k) for o in objects}
+    rows = {o: tuple(dataset.indices(split, object_id=o) for split in splits) for o in objects}
+    targets = {o: draw_target(config.seed, o, int(labels[rows[o][0][0]]), k) for o in objects}
+    row_target = np.array([targets[int(o)] for o in dataset.object_ids], dtype=np.int64)
 
-    # an object's views: positions in each split, and rows of images
-    tr_pos = {o: np.flatnonzero(dataset.object_ids[train_idx] == o) for o in objects}
-    te_pos = {o: np.flatnonzero(dataset.object_ids[test_idx] == o) for o in objects}
-    tr_rows = {o: train_idx[tr_pos[o]] for o in objects}
-    te_rows = {o: test_idx[te_pos[o]] for o in objects}
-    tgt_tr = np.array([targets[int(o)] for o in dataset.object_ids[train_idx]], dtype=np.int64)
-    tgt_te = np.array([targets[int(o)] for o in dataset.object_ids[test_idx]], dtype=np.int64)
-
-    # one sample view per class for the image dumps: first test view of the
-    # class's first object
-    sample_pos = []
-    for class_id in range(k):
-        cand = np.flatnonzero(dataset.labels[test_idx] == class_id)
-        if len(cand):
-            sample_pos.append(int(cand[0]))
+    # one sample view per class for the image dumps: the class's first test view
+    _, first = np.unique(labels[splits["test"]], return_index=True)
+    sample_rows = splits["test"][first].tolist()
     result = SweepResult(
         config=config, clean=clean, targets=targets,
-        split_indices={"train": train_idx.tolist(), "test": test_idx.tolist()},
+        split_indices={split: idx.tolist() for split, idx in splits.items()},
+        samples_clean={r: ppm_pixels(images[r]) for r in sample_rows},
     )
-    for p in sample_pos:
-        result.samples_clean[int(test_idx[p])] = ppm_pixels(images[test_idx[p]])
 
     # fgsm's step and bim's first step take the loss and gradient sign at the
     # clean training views, the same at every eps: one call per object and
     # direction (untargeted / targeted) serves them all
     directions = {attacks.targeted(f) for f in config.families if f not in attacks.VIAP_FAMILIES}
     clean_steps = {
-        (o, tgt): attacks.clean_sign(
-            params, images[tr_rows[o]],
-            np.full(len(tr_pos[o]), targets[o]) if tgt else y_tr[tr_pos[o]],
-        )
-        for o in objects for tgt in directions if max(config.eps_grid) > 0
+        (o, tgt): attacks.clean_sign(params, images[tr],
+                                     np.full(len(tr), targets[o]) if tgt else labels[tr])
+        for o, (tr, _) in rows.items() for tgt in directions if max(config.eps_grid) > 0
     }
 
     # the work list: every (family, eps > 0, object), objects innermost; each
-    # item crafts its object and scores its own views on the process it ran on
+    # item attacks its object and scores its own views on the process it ran on
     work = [(family, eps, o) for family, eps in itertools.product(config.families, config.eps_grid)
             if eps > 0.0 for o in objects]
-    probs = {(f, e): (np.empty((len(y_tr), k)), np.empty((len(y_te), k))) for f, e, _ in work}
+    probs = {(f, e): np.empty((len(images), k)) for f, e, _ in work}
     samples = [None] * len(work)
 
     def craft_and_score(i):
@@ -358,28 +357,25 @@ def confidence_sweep(
             family, eps, target=targets[o] if attacks.targeted(family) else None,
             seed=attack_seed(config.seed, family, eps, o),
         )
-        adv, delta = attacks.craft(
-            params, images[tr_rows[o]], y_tr[tr_pos[o]], cfg,
-            first_step=clean_steps.get((o, attacks.targeted(family))),
-        )
-        adv_te = attacks.apply_delta(delta, images[te_rows[o]])
-        return (nn.softmax(nn.forward(params, adv)), nn.softmax(nn.forward(params, adv_te)),
-                {(family, float(eps), int(test_idx[p])): ppm_pixels(adv_te[j])
-                 for j, p in enumerate(te_pos[o]) if p in sample_pos})
+        _, _, adv_test, logits_train, logits_test = attack_object(
+            params, dataset, cfg, o, clean_steps.get((o, attacks.targeted(family))))
+        return (nn.softmax(logits_train), nn.softmax(logits_test),
+                {(family, float(eps), int(r)): ppm_pixels(adv_test[j])
+                 for j, r in enumerate(rows[o][1]) if r in sample_rows})
 
     def keep(i, scored):
         family, eps, o = work[i]
-        probs_tr, probs_te = probs[(family, eps)]
-        probs_tr[tr_pos[o]], probs_te[te_pos[o]], samples[i] = scored
+        found = probs[(family, eps)]
+        found[rows[o][0]], found[rows[o][1]], samples[i] = scored
 
     with forked.Helpers(jobs, craft_and_score, keep, len(work), "crafter") as crafters:
         crafters.run()
     for found in samples:
         result.samples.update(found)
     for family, eps in itertools.product(config.families, config.eps_grid):
-        probs_tr, probs_te = probs.get((family, eps), (clean_probs["train"], clean_probs["test"]))
-        result.cells.append(_make_cell(family, eps, "train", probs_tr, y_tr, tgt_tr))
-        result.cells.append(_make_cell(family, eps, "test", probs_te, y_te, tgt_te))
+        found = probs.get((family, eps), clean_probs)
+        result.cells += [_make_cell(family, eps, split, found[idx], labels[idx], row_target[idx])
+                         for split, idx in splits.items()]
 
     result.ttests = _sweep_ttests(result)
     return result

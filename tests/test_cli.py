@@ -793,3 +793,75 @@ def test_train_and_sweep_hold_one_copy_of_the_pixels(tmp_path):
     for command, small, large in zip(("train", "sweep"), *peaks):
         growth = (large - small) / (pixels[1] - pixels[0])
         assert growth < 1.75, (command, growth)
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["sweep", "--eps", "1,x"], "--eps expects a comma-separated list of numbers",
+                 id="eps"),
+    pytest.param(["attack", "--target", "x"], "--target expects a label id or 'random'",
+                 id="target"),
+])
+def test_flag_parse_errors_show_their_own_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def truncate_blob(ds_dir):
+    blob = ds_dir / "images.f64"
+    blob.write_bytes(blob.read_bytes()[:-8])
+
+
+def tag_a_view_val(ds_dir):
+    manifest = json.loads((ds_dir / "manifest.json").read_text())
+    manifest["views"][0]["split"] = "val"
+    (ds_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("argv,cfg,edit,message", [
+    pytest.param(["dataset"], [TINY_DS], None, "config must be a JSON object", id="config-array"),
+    pytest.param(["sweep", "--eps", "-1"], {"dataset": TINY_DS}, None,
+                 "eps grid must be non-empty and non-negative", id="negative-eps"),
+    pytest.param(["dataset"], {**TINY_DS, "train_views": 4}, None,
+                 "train_views must leave at least one view in each split", id="no-test-view"),
+    pytest.param(["train", "--dataset", "{ds}"], {}, truncate_blob,
+                 "image blob size does not match manifest", id="truncated-blob"),
+    pytest.param(["train", "--dataset", "{ds}"], {}, tag_a_view_val, "bad split tag 'val'",
+                 id="val-split"),
+    pytest.param(["attack", "--dataset", "{ds}", "--weights", "{weights}", "--object", "99"], {},
+                 None, "object 99 has no training views", id="absent-object"),
+])
+def test_cli_refusals_exit_2_with_a_named_message(tiny_run, tmp_path, capsys, argv, cfg, edit,
+                                                  message):
+    _, _, ds_dir, model_dir = tiny_run
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    for name in ("images.f64", "manifest.json"):
+        (ds / name).write_bytes((ds_dir / name).read_bytes())
+    if edit:
+        edit(ds)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = [a.format(ds=ds, weights=model_dir / "weights.viapnet") for a in argv]
+    assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    payload = last_error(capsys)
+    assert payload["error"] == "usage" and message in payload["message"], payload
+
+
+def test_attack_scores_with_one_forward_per_split(tiny_run, monkeypatch):
+    # final_loss and the train metrics read the same forward of the crafted views
+    root, _, ds_dir, model_dir = tiny_run
+    forwards = []
+    real = nn.forward
+    monkeypatch.setattr(nn, "forward", lambda params, x, rows=None:
+                        forwards.append(len(x if rows is None else rows)) or real(params, x, rows))
+    ds = render.load_dataset(ds_dir)
+    for family in ("bim", "viap-t"):
+        forwards.clear()
+        assert cli.main([
+            "attack", "--dataset", str(ds_dir), "--weights", str(model_dir / "weights.viapnet"),
+            "--family", family, "--eps", "3", "--iters", "2", "--object", "1",
+            "--out", str(root / f"atk-forwards-{family}"),
+        ]) == cli.EXIT_OK
+        assert forwards == [len(ds.indices(split, object_id=1)) for split in ("train", "test")]

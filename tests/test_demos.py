@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import viapkit
-from viapkit import attacks, nn, train
+from viapkit import attacks, nn, render, train
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -38,3 +38,20 @@ def test_epsilon_sweep_demo_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "welch viap-vs-fgsm" in proc.stdout
     assert (out / "report.json").exists()
+
+
+def test_render_views_demo_draws_the_dataset_views(tmp_path):
+    out = tmp_path / "views"
+    env = {**os.environ, "PYTHONPATH": str(Path(viapkit.__file__).resolve().parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / "render_views.py"), "--kind", "torus", "--out", str(out)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # one object per class, so the torus is object (and class) CLASS_KINDS.index("torus")
+    ds = render.generate_dataset(None, 1, seed=7, objects_per_class=1)
+    rows = ds.indices(object_id=render.CLASS_KINDS.index("torus"))
+    assert len(rows) == 10
+    for v, row in enumerate(rows):
+        render.write_ppm(ds.images[row], tmp_path / "want.ppm")
+        assert (out / f"torus_{v:02d}.ppm").read_bytes() == (tmp_path / "want.ppm").read_bytes(), v

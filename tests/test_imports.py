@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "viapkit").glob("*.py"))
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 def test_the_only_runtime_dependency_is_numpy():
@@ -27,10 +28,10 @@ def test_the_only_runtime_dependency_is_numpy():
 def test_no_source_reaches_for_numpy_random():
     # every seeded draw goes through viapkit.prng; importing NumPy's random
     # package costs about 6 MiB of resident memory
-    mentions = [f"{path.name}:{n}" for path in SOURCES
+    mentions = [f"{path.parent.name}/{path.name}:{n}" for path in SOURCES + DEMOS
                 for n, line in enumerate(path.read_text().splitlines(), 1)
                 if "np.random" in line or "numpy.random" in line]
-    assert SOURCES and not mentions, mentions
+    assert SOURCES and DEMOS and not mentions, mentions
 
 
 def test_a_sweep_never_imports_numpy_random(tmp_path):
