@@ -29,10 +29,10 @@ def main():
             print(f"epoch {entry['epoch']:>2}  loss {entry['loss']:.4f}  "
                   f"train {entry['train_acc']:.3f}  test {entry['test_acc']:.3f}")
 
-    acc_tr, conf_tr = train_mod.evaluate_clean(params, ds.images, ds.labels, tr)
-    acc_te, conf_te = train_mod.evaluate_clean(params, ds.images, ds.labels, te)
-    print(f"\nfinal: train top-1 {acc_tr:.4f} (softmax {conf_tr:.3f}), "
-          f"test top-1 {acc_te:.4f} (softmax {conf_te:.3f})")
+    best = train_mod.best_epoch(log)  # the epoch whose weights train returned
+    print(f"\nfinal: train top-1 {best['train_acc']:.4f} "
+          f"(softmax {best['train_true_softmax']:.3f}), "
+          f"test top-1 {best['test_acc']:.4f} (softmax {best['test_true_softmax']:.3f})")
 
     os.makedirs(args.out, exist_ok=True)
     weights = os.path.join(args.out, "weights.viapnet")

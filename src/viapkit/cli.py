@@ -199,8 +199,11 @@ def cmd_dataset(args) -> int:
 
 def _train_and_save(
     config: train_mod.TrainConfig, ds: render.Dataset, out, jobs: int | None = None
-) -> nn.ModelParams:
-    """Train the victim on ds's train split; write weights.viapnet and train_log.csv."""
+) -> tuple[nn.ModelParams, list[dict]]:
+    """Train the victim on ds's train split; write weights.viapnet and train_log.csv.
+
+    Returns the trained weights and the per-epoch log.
+    """
     params = train_mod.init_params(config.seed, *ds.images.shape[1:], ds.n_classes)
     params, log = train_mod.train(params, ds.images, ds.labels, config, ds.indices("train"),
                                   ds.indices("test"), jobs=jobs)
@@ -208,7 +211,7 @@ def _train_and_save(
     nn.save_params(params, os.path.join(out, "weights.viapnet"))
     with open(os.path.join(out, "train_log.csv"), "w") as fh:
         fh.write(train_mod.log_csv(log))
-    return params
+    return params, log
 
 
 def _load_weights(path, ds: render.Dataset, ds_path) -> nn.ModelParams:
@@ -229,11 +232,11 @@ def cmd_train(args) -> int:
     tcfg = _echo_config(cfg, out, lambda: train_mod.TrainConfig(**cfg))
 
     ds = render.load_dataset(args.dataset)
-    params = _train_and_save(tcfg, ds, out)
-    acc_tr, conf_tr = train_mod.evaluate_clean(params, ds.images, ds.labels, ds.indices("train"))
-    acc_te, conf_te = train_mod.evaluate_clean(params, ds.images, ds.labels, ds.indices("test"))
-    print(f"final train acc {acc_tr:.4f} (true softmax {conf_tr:.4f}), "
-          f"test acc {acc_te:.4f} (true softmax {conf_te:.4f})")
+    _, log = _train_and_save(tcfg, ds, out)
+    best = train_mod.best_epoch(log)  # the saved weights' epoch, scored as it trained
+    print(f"final train acc {best['train_acc']:.4f} "
+          f"(true softmax {best['train_true_softmax']:.4f}), "
+          f"test acc {best['test_acc']:.4f} (true softmax {best['test_true_softmax']:.4f})")
     print(f"wrote weights.viapnet and train_log.csv to {out}")
     return EXIT_OK
 
@@ -345,7 +348,7 @@ def cmd_sweep(args) -> int:
     if args.weights:
         params = _load_weights(args.weights, ds, args.dataset or os.path.join(out, "dataset"))
     else:
-        params = _train_and_save(tcfg, ds, os.path.join(out, "model"), jobs)
+        params, _ = _train_and_save(tcfg, ds, os.path.join(out, "model"), jobs)
 
     result = evaluate.confidence_sweep(params, ds, config=scfg, jobs=jobs)
     files = evaluate.emit_report(result, result.ttests, out)

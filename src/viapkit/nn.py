@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ def as_f64(arr) -> np.ndarray:
 
 # Most bytes of patch matrix in one conv block; a block holds at least one image.
 BLOCK_BYTES = 1 << 20
-# Patch scratch for one thread at a time, grown on demand: fresh patch-matrix
+# Patch scratch, one per process, grown on demand: fresh patch-matrix
 # temporaries would fault their pages in on every call. No result views it.
 _scratch = {"padded": np.empty(0), "cols": np.empty(0)}
 
@@ -185,8 +185,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 class ModelParams:
     """All weights of the classifier plus its input/output dimensions.
 
-    Arrays are copied on construction and frozen read-only, so params can be
-    shared across threads.
+    Arrays are copied on construction and frozen read-only, so no caller can
+    change the weights another holds.
     """
 
     height: int
@@ -231,18 +231,6 @@ class ModelParams:
         return ModelParams(self.height, self.width, self.channels, self.classes, **kw)
 
 
-@dataclass(frozen=True)
-class ParamGrads:
-    """Loss gradients, field-for-field congruent with ModelParams weights."""
-
-    conv1_w: np.ndarray
-    conv1_b: np.ndarray
-    conv2_w: np.ndarray
-    conv2_b: np.ndarray
-    dense_w: np.ndarray
-    dense_b: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Forward / backward
 # ---------------------------------------------------------------------------
@@ -270,8 +258,8 @@ class Graph:
     def backward(
         self, dlogits: np.ndarray, need_input: bool = True, need_params: bool = False,
         sum_input: bool = False,
-    ) -> tuple[np.ndarray | None, ParamGrads | None]:
-        """Backpropagate dlogits; returns (input grad, param grads).
+    ) -> tuple[np.ndarray | None, dict[str, np.ndarray] | None]:
+        """Backpropagate dlogits; returns (input grad, param grads keyed by PARAM_FIELDS).
 
         With sum_input the input grad is summed over the batch into one
         (1, H, W, C) array: conv1's input-grad is linear, so it runs once on
@@ -299,14 +287,8 @@ class Graph:
         if need_params:
             dw2, db2 = conv2d_param_grad(self.p1, dz2, CONV2_CHANNELS)
             dw1, db1 = conv2d_param_grad(self.x, dz1, CONV1_CHANNELS)
-            grads = ParamGrads(
-                conv1_w=dw1,
-                conv1_b=db1,
-                conv2_w=dw2,
-                conv2_b=db2,
-                dense_w=flat.T @ dlogits,
-                dense_b=dlogits.sum(axis=0),
-            )
+            grads = {"conv1_w": dw1, "conv1_b": db1, "conv2_w": dw2, "conv2_b": db2,
+                     "dense_w": flat.T @ dlogits, "dense_b": dlogits.sum(axis=0)}
         return dx, grads
 
 
@@ -398,13 +380,13 @@ def loss_and_input_grad(
 
 def loss_and_param_grad(
     params: ModelParams, batch: np.ndarray, labels
-) -> tuple[float, ParamGrads]:
-    """Mean cross-entropy and its gradients w.r.t. every weight tensor."""
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean cross-entropy and its gradients w.r.t. every weight tensor, keyed by PARAM_FIELDS."""
     graph = forward_graph(params, batch)
     loss, dlogits = loss_and_dlogits(graph, labels)
     _, grads = graph.backward(dlogits, need_input=False, need_params=True)
-    for f in fields(grads):
-        require_finite(f.name, getattr(grads, f.name))
+    for f, g in grads.items():
+        require_finite(f, g)
     return loss, grads
 
 

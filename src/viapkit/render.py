@@ -457,6 +457,7 @@ class DatasetManifest:
 
     def validate(self) -> None:
         per_object: dict[int, set] = {}
+        classes: dict[int, set] = {}
         seen = set()
         for i, rec in enumerate(self.views):
             for name in ("object", "view"):
@@ -471,9 +472,13 @@ class DatasetManifest:
             if rec["split"] not in ("train", "test"):
                 raise ValueError(f"bad split tag {rec['split']!r}")
             per_object.setdefault(rec["object"], set()).add(rec["split"])
+            classes.setdefault(rec["object"], set()).add(rec["class"])
         for obj, splits in per_object.items():
             if splits != {"train", "test"}:
                 raise ValueError(f"object {obj} missing a split: has {sorted(splits)}")
+            if len(classes[obj]) > 1:
+                raise ValueError(f"object {obj}'s views carry different classes "
+                                 f"{sorted(classes[obj])}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -129,15 +129,10 @@ def train(
     rows each epoch; each batch is read from images as it runs, so images
     may be a whole dataset's pixels and no split of them is ever copied.
 
-    Returns the weights of the epoch with the highest training accuracy
-    (earliest epoch on ties) together with the full per-epoch log: epoch,
-    mean loss, train accuracy, and (when val_rows is given) held-out accuracy.
-    The snapshot looks at training accuracy only. At some train seeds the
-    large default step leaves the run short of the clean gate or at chance;
-    dead conv2 channels do not tell those runs apart (9-15 of 16 are dead in
-    runs that pass and in runs that fail), and clipping the gradient norm
-    was measured to fix them. Keeping the best epoch makes the outcome
-    insensitive to a late drop.
+    Returns the weights of best_epoch(log) together with the full per-epoch
+    log: epoch, mean loss, and evaluate_clean's pair on the training split
+    (train_acc, train_true_softmax) and, when val_rows is given, on the
+    held-out rows (test_acc, test_true_softmax).
 
     Each epoch is scored while the next one trains: with jobs > 1 (see
     forked.Helpers) its weights go to one forked scorer process, and
@@ -157,9 +152,9 @@ def train(
     velocity = {f: np.zeros_like(w) for f, w in weights.items()}
     n = len(rows)
     splits = [rows] if val_rows is None else [rows, val_rows]
-    accs = []  # the scored epoch's accuracy on each split
+    scores = []  # the scored epoch's (accuracy, true softmax) on each split
     log = []
-    best_acc, best_weights = -1.0, None
+    best_weights = None
 
     def run_epoch(epoch) -> float:
         """One epoch of steps, which rebind the arrays in weights; its mean loss."""
@@ -176,26 +171,26 @@ def train(
                 raise TrainingDiverged(epoch)
             loss_sum += loss * len(idx)
             for f in nn.PARAM_FIELDS:
-                velocity[f] = config.momentum * velocity[f] - config.lr * getattr(grads, f)
+                velocity[f] = config.momentum * velocity[f] - config.lr * grads[f]
                 weights[f] = weights[f] + velocity[f]
         return loss_sum / n
 
     def score(epoch_weights, _):
         current = params.replace_weights(**epoch_weights)
-        return [evaluate_clean(current, images, labels, split)[0] for split in splits]
+        return [evaluate_clean(current, images, labels, split) for split in splits]
 
-    def keep(_, split_accs):
-        accs[:] = split_accs
+    def keep(_, split_scores):
+        scores[:] = split_scores
 
     def record(epoch, loss, epoch_weights):
-        nonlocal best_acc, best_weights
+        nonlocal best_weights
         scorers.finish()
-        entry = {"epoch": epoch, "loss": loss, "train_acc": accs[0]}
-        if val_rows is not None:
-            entry["test_acc"] = accs[1]
+        entry = {"epoch": epoch, "loss": loss}
+        for split, (acc, true_softmax) in zip(("train", "test"), scores):
+            entry[f"{split}_acc"], entry[f"{split}_true_softmax"] = acc, true_softmax
         log.append(entry)
-        if entry["train_acc"] > best_acc:
-            best_acc, best_weights = entry["train_acc"], epoch_weights
+        if best_epoch(log) is entry:
+            best_weights = epoch_weights
 
     pending = None  # the epoch being scored: (epoch, loss, its weights)
     with forked.Helpers(jobs, score, keep, 1, "scorer") as scorers:
@@ -211,6 +206,19 @@ def train(
         record(*pending)
 
     return params.replace_weights(**best_weights), log
+
+
+def best_epoch(log: list[dict]) -> dict:
+    """The log entry whose weights train returns: highest train accuracy, earliest on ties.
+
+    The snapshot looks at training accuracy only. At some train seeds the
+    large default step leaves the run short of the clean gate or at chance;
+    dead conv2 channels do not tell those runs apart (9-15 of 16 are dead in
+    runs that pass and in runs that fail), and clipping the gradient norm
+    was measured to fix them. Keeping the best epoch makes the outcome
+    insensitive to a late drop.
+    """
+    return max(log, key=lambda e: (e["train_acc"], -e["epoch"]))
 
 
 def evaluate_clean(

@@ -78,7 +78,7 @@ def test_criterion_01_gradients_match_finite_differences():
             shape = getattr(params, f).shape
             coords = [tuple(c) for c in np.ndindex(*shape)]
             fd = oracles.fd_param_grad(params, x, labels, f, coords)
-            got = getattr(g_par, f)
+            got = g_par[f]
             for k, idx in enumerate(coords):
                 worst = max(worst, oracles.rel_err(fd[k], got[idx]))
     elapsed = time.perf_counter() - start

@@ -33,6 +33,21 @@ def tiny_run(tmp_path_factory):
     return root, cfg, ds_dir, model_dir
 
 
+def test_train_prints_the_saved_weights_clean_metrics(tiny_run, tmp_path, capsys):
+    _, cfg, ds_dir, _ = tiny_run
+    out = tmp_path / "model"
+    assert cli.main(["train", "--config", str(cfg), "--dataset", str(ds_dir),
+                     "--out", str(out)]) == cli.EXIT_OK
+    ds = render.load_dataset(ds_dir)
+    params = nn.load_params(out / "weights.viapnet")
+    (acc_tr, conf_tr), (acc_te, conf_te) = (
+        train.evaluate_clean(params, ds.images, ds.labels, ds.indices(split))
+        for split in ("train", "test"))
+    final = capsys.readouterr().out.splitlines()[-2]
+    assert final == (f"final train acc {acc_tr:.4f} (true softmax {conf_tr:.4f}), "
+                     f"test acc {acc_te:.4f} (true softmax {conf_te:.4f})")
+
+
 def test_dataset_outputs(tiny_run):
     _, _, ds_dir, _ = tiny_run
     ds = render.load_dataset(ds_dir)
@@ -819,6 +834,13 @@ def tag_a_view_val(ds_dir):
     (ds_dir / "manifest.json").write_text(json.dumps(manifest))
 
 
+def relabel_a_view(ds_dir):
+    manifest = json.loads((ds_dir / "manifest.json").read_text())
+    rec = [r for r in manifest["views"] if r["object"] == 0][1]
+    rec["class"] = (rec["class"] + 1) % len(manifest["classes"])
+    (ds_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
 @pytest.mark.parametrize("argv,cfg,edit,message", [
     pytest.param(["dataset"], [TINY_DS], None, "config must be a JSON object", id="config-array"),
     pytest.param(["sweep", "--eps", "-1"], {"dataset": TINY_DS}, None,
@@ -831,6 +853,8 @@ def tag_a_view_val(ds_dir):
                  id="val-split"),
     pytest.param(["attack", "--dataset", "{ds}", "--weights", "{weights}", "--object", "99"], {},
                  None, "object 99 has no training views", id="absent-object"),
+    pytest.param(["train", "--dataset", "{ds}"], {}, relabel_a_view,
+                 "object 0's views carry different classes", id="object-of-two-classes"),
 ])
 def test_cli_refusals_exit_2_with_a_named_message(tiny_run, tmp_path, capsys, argv, cfg, edit,
                                                   message):

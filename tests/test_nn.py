@@ -139,8 +139,9 @@ def test_grads_are_shape_congruent(rng):
     params = rand_params(rng)
     x = rng.uniform(0, 1, size=(2, 8, 8, 3))
     _, grads = nn.loss_and_param_grad(params, x, np.array([0, 1]))
+    assert tuple(grads) == nn.PARAM_FIELDS
     for f in nn.PARAM_FIELDS:
-        assert getattr(grads, f).shape == getattr(params, f).shape
+        assert grads[f].shape == getattr(params, f).shape
 
 
 def test_near_perfect_logits_have_tiny_grads():
@@ -189,7 +190,7 @@ def test_param_grad_matches_fd():
         coords = [all_coords[i] for i in pick]
         fd = oracles.fd_param_grad(params, x, labels, f, coords)
         for k, idx in enumerate(coords):
-            assert oracles.rel_err(getattr(grads, f)[idx], fd[k]) < 1e-6, f
+            assert oracles.rel_err(grads[f][idx], fd[k]) < 1e-6, f
 
 
 def test_backward_requires_matching_dlogits(rng):
@@ -313,7 +314,7 @@ def test_graph_matches_reference_kernels(rng, monkeypatch, batch, hw, block_byte
     graph = nn.forward_graph(params, x)
     dlogits = nn.softmax(graph.logits) - np.eye(4)[labels]
     dx, grads = graph.backward(dlogits, need_input=True, need_params=True)
-    new = [graph.logits, graph.p1, graph.p2, dx] + [getattr(grads, f) for f in nn.PARAM_FIELDS]
+    new = [graph.logits, graph.p1, graph.p2, dx] + [grads[f] for f in nn.PARAM_FIELDS]
     for a, b in zip(new, oracles.graph_reference(params, x, dlogits)):
         assert_same_bits(a, b)
     # the batch holds windows with no positive value at both pools
@@ -328,7 +329,7 @@ def test_conv_scratch_never_leaks_into_results(rng):
     dx, grads = graph.backward(dlogits, need_params=True)
     logits = nn.forward(params, x)
     results = {f"graph.{k}": v for k, v in vars(graph).items() if isinstance(v, np.ndarray)}
-    results.update({f"grads.{k}": v for k, v in vars(grads).items()}, dx=dx, logits=logits)
+    results.update({f"grads.{k}": v for k, v in grads.items()}, dx=dx, logits=logits)
     kept = {k: v.copy() for k, v in results.items()}
     # a different batch of the same shape reuses the scratch in place
     nn.forward_graph(params, other).backward(dlogits, need_params=True)

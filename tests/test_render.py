@@ -418,6 +418,17 @@ def test_manifest_requires_both_splits():
         m.validate()
 
 
+def test_manifest_rejects_an_object_of_two_classes():
+    m = render.DatasetManifest(("a", "b", "c"), (4, 4, 3), 0, 0.1)
+    rec = {"split": "train", "class": 0, "pose": (1, 1, 3), "offset": 0, "nbytes": 8}
+    m.views = [{**rec, "object": o, "view": v, "split": split}
+               for o in (0, 1) for v, split in enumerate(("train", "test", "test", "test"))]
+    m.validate()
+    m.views[5]["class"] = 2  # object 1's second view
+    with pytest.raises(ValueError, match=r"object 1's views carry different classes \[0, 2\]"):
+        m.validate()
+
+
 def test_views_too_few_rejected(monkeypatch):
     def no_render(*args, **kwargs):
         raise AssertionError("rendered before rejecting the settings")

@@ -103,6 +103,13 @@ def test_returned_weights_match_best_logged_epoch(rng):
     assert acc == best
 
 
+def test_best_epoch_is_the_earliest_of_tied_epochs():
+    log = [{"epoch": e, "loss": 1.0, "train_acc": a}
+           for e, a in enumerate((0.5, 0.75, 0.25, 0.75, 0.5))]
+    assert train.best_epoch(log) is log[1]
+    assert train.best_epoch(log[2:]) is log[3]
+
+
 def test_divergence_reported_with_epoch(rng):
     # inputs at overflow scale: the first update lands finite, the next
     # forward pass overflows to inf/nan and must surface as a clear error
