@@ -12,8 +12,11 @@ and routes are those of pooling the relu output, bit for bit. Every zero the
 network pools is +0.0, even where a conv output is -0.0.
 
 conv2d and conv2d_input_grad build their im2col patch matrices in L2-sized
-blocks of whole images, and conv2d_param_grad builds its whole-batch one, in
-per-process scratch that every call reuses.
+blocks of whole images, and conv2d_param_grad builds its whole-batch one
+K-major (channel-major, one row per kernel tap), in per-process scratch that
+every call reuses. The K-major matrix is the row-major one's transpose, stored
+C-contiguous. A GEMM packs its A operand into the same panels from either
+layout, so the weight gradients keep the bits of the transposed view's product.
 """
 
 from __future__ import annotations
@@ -107,11 +110,31 @@ def conv2d_input_grad(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _conv_blocks(dy, w_flip.reshape(-1, w_flip.shape[-1]))
 
 
+def _patch_matrix_t(x: np.ndarray) -> np.ndarray:
+    """x's whole-batch patch matrix, transposed: (9*C, B*H*W), a view of the scratch.
+
+    Row (row, col, channel) holds that kernel tap's input under every output
+    pixel, in (image, y, x) order. x is copied once, channel first, into a
+    zero-padded (C, B, H+2, W+2) array, where each output row's W taps are
+    contiguous, so one strided view covers every row.
+    """
+    b, h, w, c = x.shape
+    padded = _scratch_view("padded", (c, b, h + 2, w + 2))
+    padded[:, :, :: h + 1] = padded[:, :, :, :: w + 1] = 0.0  # the border rows, then columns
+    padded[:, :, 1:-1, 1:-1] = x.transpose(3, 0, 1, 2)
+    cols = _scratch_view("cols", (KERNEL, KERNEL, c, b, h, w))
+    s = padded.strides
+    taps = np.ndarray(cols.shape, padded.dtype, padded, 0, (s[2], s[3], *s))
+    np.copyto(cols, taps)
+    return cols.reshape(KERNEL * KERNEL * c, -1)
+
+
 def conv2d_param_grad(x: np.ndarray, dy: np.ndarray, cout: int) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of conv2d w.r.t. kernel and bias."""
-    # one whole-batch GEMM: a reduction over row blocks would change its bits
-    ((_, cols),) = _patch_blocks(x, len(x))
-    dw = cols.reshape(-1, cols.shape[-1]).T @ dy.reshape(-1, cout)
+    # one whole-batch GEMM: a reduction over row blocks would change its bits.
+    # BLAS packs the K-major matrix as it packs the row-major one's transposed
+    # view, so dw has that product's bits while reading a contiguous operand.
+    dw = _patch_matrix_t(x) @ dy.reshape(-1, cout)
     dw = dw.reshape(KERNEL, KERNEL, x.shape[-1], cout)
     db = dy.sum(axis=(0, 1, 2))
     return dw, db

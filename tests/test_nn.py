@@ -271,18 +271,41 @@ def test_pool_ties_route_to_the_first_maximum():
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
 def test_patches_match_pad_reference(rng, shape):
-    # whole-batch, as conv2d_param_grad builds it, and in blocks of two images
+    # in blocks of two images, as conv2d and conv2d_input_grad build them
     x = tied_batch(rng, shape)
     ref = oracles.patches_reference(x)
-    for n in (len(x), 2):
-        for i, cols in nn._patch_blocks(x, n):
-            assert_same_bits(cols, ref[i : i + len(cols)])
+    for i, cols in nn._patch_blocks(x, 2):
+        assert_same_bits(cols, ref[i : i + len(cols)])
+
+
+# the conv1 and conv2 inputs of a batch-16 training step on 32x32 views
+TRAIN_SHAPES = [(16, 32, 32, 3), (16, 16, 16, 8)]
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES + TRAIN_SHAPES)
+def test_param_grad_patch_matrix_is_the_transposed_reference(rng, shape):
+    # whole-batch, one row per kernel tap, as conv2d_param_grad builds it
+    x = tied_batch(rng, shape)
+    cols_t = nn._patch_matrix_t(x)
+    assert cols_t.flags.c_contiguous
+    assert_same_bits(cols_t, oracles.patches_reference(x).reshape(-1, 9 * shape[-1]).T)
+
+
+def test_param_grad_scratch_keeps_the_whole_batch_sizes(rng, monkeypatch):
+    # a batch-16 training step on 32x32x3 views grows only the two patch
+    # buffers, to conv1's whole-batch padded input and patch matrix
+    monkeypatch.setattr(nn, "_scratch", {"padded": np.empty(0), "cols": np.empty(0)})
+    params = rand_params(rng, hw=32)
+    nn.loss_and_param_grad(params, rng.uniform(0, 1, size=(16, 32, 32, 3)), rng.integers(0, 4, size=16))
+    assert {k: v.size for k, v in nn._scratch.items()} == {"padded": 55_488, "cols": 442_368}
 
 
 @pytest.mark.parametrize("batch,hw,block_bytes", [
     pytest.param(1, (9, 11), None, id="1-hw0"),
     pytest.param(7, (32, 32), None, id="7-hw1"),
     pytest.param(112, (13, 32), None, id="112-hw2"),
+    # the training batch: conv1's weight-gradient GEMM sums R = 16,384 rows
+    pytest.param(16, (32, 32), None, id="16-hw1"),
     # conv blocks split the batch mid-way: conv1 forward 3+3+1 images,
     # conv2 forward 4+3, conv2 input grad 2+2+2+1
     pytest.param(7, (32, 32), 3 * 32 * 32 * 27 * 8, id="7-hw1-split-blocks"),
