@@ -255,13 +255,13 @@ def cmd_attack(args) -> int:
     family = cfg["family"]
 
     def settings() -> attacks.AttackConfig:
-        """The attack's config; target and seed are set once the dataset is read."""
+        """The attack's config; attack_object sets a "random" target and the seed."""
         eps = cfg["eps"] if isinstance(cfg["eps"], list) else [cfg["eps"]]
         if len(eps) != 1:
             raise ValueError(f"attack crafts at one eps; got {eps} (use sweep for a grid)")
         acfg = attacks.AttackConfig(**{
             **{f.name: cfg[f.name] for f in dataclasses.fields(attacks.AttackConfig)},
-            "eps": float(eps[0]), "target": None,
+            "eps": float(eps[0]), "target": None if cfg["target"] == "random" else cfg["target"],
         })
         if not attacks.targeted(family) and cfg["target"] != "random":
             raise ValueError(f"target {cfg['target']} selects nothing: {family} is untargeted")
@@ -269,39 +269,21 @@ def cmd_attack(args) -> int:
 
     # a bad setting fails here, before the dataset and weights load
     acfg = _echo_config(cfg, out, settings)
-    eps = acfg.eps
     ds = render.load_dataset(args.dataset)
     params = _load_weights(args.weights, ds, args.dataset)
     o = cfg["object"]
-    tr = ds.indices("train", object_id=o)
-    if len(tr) == 0:
-        raise ValueError(f"object {o} has no training views")
+    acfg, adv_train, delta, adv_test, logits_train, logits_test = evaluate.attack_object(
+        params, ds, acfg, cfg["seed"], o)
+    tr, te = (ds.indices(split, object_id=o) for split in ("train", "test"))
     true_label = int(ds.labels[tr[0]])
-
-    target = None
-    if attacks.targeted(family):
-        if cfg["target"] == "random":
-            target = evaluate.draw_target(cfg["seed"], o, true_label, ds.n_classes)
-        else:
-            target = int(cfg["target"])
-            if not 0 <= target < ds.n_classes:
-                raise ValueError(f"target must lie in [0, {ds.n_classes}); got {target}")
-
-    # derive the init seed as the sweep does, so an attack reproduces its sweep cell
-    acfg = dataclasses.replace(
-        acfg, target=target, seed=evaluate.attack_seed(cfg["seed"], family, eps, o))
-
-    adv_train, delta, adv_test, logits_train, logits_test = evaluate.attack_object(
-        params, ds, acfg, o)
     loss, _ = nn.softmax_cross_entropy(logits_train, attacks.loss_labels(acfg, ds.labels[tr]))
     pert = attacks.Perturbation(delta, acfg, ds.view_ids[tr].tolist(), loss)
 
     attacks.save_perturbation(pert, os.path.join(out, "delta.viapdlt"))
-    tracked_label = target if attacks.targeted(family) else true_label
-    metrics = {"family": family, "eps": eps, "object": o, "true_label": true_label,
-               "target": target, "final_loss": pert.final_loss}
+    tracked_label = true_label if acfg.target is None else acfg.target
+    metrics = {"family": family, "eps": acfg.eps, "object": o, "true_label": true_label,
+               "target": acfg.target, "final_loss": pert.final_loss}
     # the train split scores the crafted views, as final_loss and the sweep's train cell do
-    te = ds.indices("test", object_id=o)
     for split, idx, adv, logits in (("train", tr, adv_train, logits_train),
                                     ("test", te, adv_test, logits_test)):
         probs = nn.softmax(logits)

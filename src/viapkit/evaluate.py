@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -171,14 +171,16 @@ class SweepConfig:
         for family in (*self.families, "bim"):
             self.attack_config(family, max(self.eps_grid))
 
-    def attack_config(
-        self, family: str, eps: float, target: int | None = None, seed: int = 0
-    ) -> AttackConfig:
-        """The config this sweep crafts family at eps with; fgsm families take one step."""
+    def attack_config(self, family: str, eps: float, target: int | None = None) -> AttackConfig:
+        """This sweep's settings for family at eps; fgsm families take one step.
+
+        attack_object sets the init seed (and an untargeted family's None
+        target) before it crafts with them.
+        """
         return AttackConfig(
             family=family, eps=eps, step=self.step,
             iterations=1 if family in SINGLE_STEP_FAMILIES else self.iterations,
-            target=target, rho=self.rho, seed=seed, literal_eq_step=self.literal_eq_step,
+            target=target, rho=self.rho, literal_eq_step=self.literal_eq_step,
         )
 
 
@@ -244,24 +246,40 @@ def draw_target(seed: int, object_id: int, true_label: int, n_classes: int) -> i
 
 
 def attack_seed(seed: int, family: str, eps: float, object_id: int) -> int:
-    """The init seed of family's craft at eps on an object, as sweep and attack both derive it."""
+    """The init seed of family's craft at eps on an object, as attack_object sets it."""
     parts = [seed, _ATTACK_STREAM, FAMILIES.index(family), int(round(eps * 1000)), object_id]
     return prng.generate_state(parts, 1)[0]
 
 
-def attack_object(params: nn.ModelParams, dataset: Dataset, config: AttackConfig, o: int,
-                  first_step=None) -> tuple[np.ndarray, ...]:
+def attack_object(params: nn.ModelParams, dataset: Dataset, config: AttackConfig, seed: int,
+                  o: int, first_step=None) -> tuple:
     """Attack object o, as sweep and attack both do.
 
-    attacks.craft (given first_step) attacks o's training views, and the
-    delta it returns is applied to o's test views, which it never saw. Returns
-    (adv_train, delta, adv_test, logits_train, logits_test): one forward a split.
+    The one place that sets what belongs to o: it refuses an object with no
+    training views, gives a targeted family config's target, which must lie
+    in [0, K), or else draw_target's at seed (an untargeted family gets
+    None), and sets the init seed to attack_seed's at seed. attacks.craft
+    (given first_step) then attacks o's training views, and the delta it
+    returns is applied to o's test views, which it never saw. Returns
+    (config crafted with, adv_train, delta, adv_test, logits_train,
+    logits_test): one forward a split.
     """
     train_rows, test_rows = (dataset.indices(split, object_id=o) for split in ("train", "test"))
+    if len(train_rows) == 0:
+        raise ValueError(f"object {o} has no training views")
+    family, k, target = config.family, dataset.n_classes, None
+    if attacks.targeted(family):
+        target = config.target
+        if target is None:
+            target = draw_target(seed, o, int(dataset.labels[train_rows[0]]), k)
+        elif not 0 <= target < k:
+            raise ValueError(f"target must lie in [0, {k}); got {target}")
+    config = replace(config, target=target, seed=attack_seed(seed, family, config.eps, o))
     adv_train, delta = attacks.craft(params, dataset.images[train_rows],
                                      dataset.labels[train_rows], config, first_step=first_step)
     adv_test = attacks.apply_delta(delta, dataset.images[test_rows])
-    return adv_train, delta, adv_test, nn.forward(params, adv_train), nn.forward(params, adv_test)
+    return (config, adv_train, delta, adv_test,
+            nn.forward(params, adv_train), nn.forward(params, adv_test))
 
 
 def _make_cell(family, eps, split, probs, labels, targets_pv) -> Cell:
@@ -353,12 +371,9 @@ def confidence_sweep(
 
     def craft_and_score(i):
         family, eps, o = work[i]
-        cfg = config.attack_config(
-            family, eps, target=targets[o] if attacks.targeted(family) else None,
-            seed=attack_seed(config.seed, family, eps, o),
-        )
-        _, _, adv_test, logits_train, logits_test = attack_object(
-            params, dataset, cfg, o, clean_steps.get((o, attacks.targeted(family))))
+        *_, adv_test, logits_train, logits_test = attack_object(
+            params, dataset, config.attack_config(family, eps, targets[o]), config.seed, o,
+            clean_steps.get((o, attacks.targeted(family))))
         return (nn.softmax(logits_train), nn.softmax(logits_test),
                 {(family, float(eps), int(r)): ppm_pixels(adv_test[j])
                  for j, r in enumerate(rows[o][1]) if r in sample_rows})

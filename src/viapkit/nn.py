@@ -60,6 +60,7 @@ _scratch = {"padded": np.empty(0), "cols": np.empty(0)}
 def _scratch_view(name: str, shape: tuple) -> np.ndarray:
     size = math.prod(shape)
     if _scratch[name].size < size:
+        _scratch[name] = np.empty(0)  # free the old buffer before the larger one is allocated
         _scratch[name] = np.empty(size)
     return _scratch[name][:size].reshape(shape)
 

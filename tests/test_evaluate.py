@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import signal
@@ -185,8 +186,8 @@ def test_each_object_is_scored_as_attack_scores_it(tiny_dataset, victim):
         for o in ds.objects():
             tr, te = ds.indices("train", object_id=o), ds.indices("test", object_id=o)
             target = sweep.targets[o] if attacks.targeted(family) else None
-            cfg = config.attack_config(family, eps, target=target,
-                                       seed=evaluate.attack_seed(config.seed, family, eps, o))
+            cfg = dataclasses.replace(config.attack_config(family, eps, target=target),
+                                      seed=evaluate.attack_seed(config.seed, family, eps, o))
             adv, delta = attacks.craft(victim, ds.images[tr], ds.labels[tr], cfg)
             tracked = int(ds.labels[tr][0]) if target is None else target
             for split, idx, views in (("train", tr, adv),
@@ -196,6 +197,36 @@ def test_each_object_is_scored_as_attack_scores_it(tiny_dataset, victim):
                 cell = sweep.cell(family, eps, split)
                 assert np.array_equal(cell.values[rows], probs[:, tracked]), (family, o, split)
                 assert np.array_equal(cell.correct[rows], probs.argmax(axis=1) == ds.labels[idx])
+
+
+def test_attack_object_sets_the_sweeps_target_and_seed(tiny_dataset, victim):
+    # every family crafts with the target the sweep drew (None when
+    # untargeted) and the init seed attack_seed derives, whether its settings
+    # carry no target, as attack's do for "random", or the drawn one, as the sweep's do
+    ds, eps, seed = tiny_dataset, 3.0, 5
+    config = evaluate.SweepConfig(eps_grid=(0.0,), seed=seed, gate_train=0.0, gate_test=0.0)
+    targets = evaluate.confidence_sweep(victim, ds, config=config, jobs=1).targets
+    o = ds.objects()[1]
+    for family, given in itertools.product(attacks.FAMILIES, (None, targets[o])):
+        cfg, *_ = evaluate.attack_object(
+            victim, ds, config.attack_config(family, eps, given), seed, o)
+        assert cfg.target == (targets[o] if attacks.targeted(family) else None), (family, given)
+        assert cfg.seed == evaluate.attack_seed(seed, family, eps, o), family
+        assert cfg.family == family and cfg.eps == eps
+
+
+def test_attack_object_refuses_what_attack_refuses(tiny_dataset, victim):
+    ds = tiny_dataset
+    k = ds.n_classes
+    bad = {
+        "object 99 has no training views": (attacks.AttackConfig("viap-t", 3.0), 99),
+        f"target must lie in [0, {k}); got {k}": (attacks.AttackConfig("bim-t", 3.0, target=k), 0),
+        f"target must lie in [0, {k}); got -1": (attacks.AttackConfig("fgsm-t", 3.0, target=-1), 0),
+    }
+    for message, (cfg, o) in bad.items():
+        with pytest.raises(ValueError) as err:
+            evaluate.attack_object(victim, ds, cfg, 0, o)
+        assert str(err.value) == message
 
 
 def test_sweep_scores_each_object_with_one_forward_per_split(tiny_dataset, victim, monkeypatch):

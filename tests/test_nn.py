@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,6 +343,21 @@ def test_graph_matches_reference_kernels(rng, monkeypatch, batch, hw, block_byte
         assert_same_bits(a, b)
     # the batch holds windows with no positive value at both pools
     assert (graph.p1 == 0.0).any() and (graph.p2 == 0.0).any()
+
+
+def test_scratch_growth_frees_the_old_buffer_first(monkeypatch):
+    # growing cols from 2^20 to 2^21 elements holds only the new buffer at its
+    # peak (2x 8 MiB), not the old one beside it (3x)
+    monkeypatch.setattr(nn, "_scratch", {"padded": np.empty(0), "cols": np.empty(0)})
+    tracemalloc.start()
+    try:
+        nn._scratch_view("cols", (1 << 20,))
+        nn._scratch_view("cols", (1 << 21,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nn._scratch["cols"].size == 1 << 21
+    assert peak < 2.5 * 8 * (1 << 20), peak / (8 * (1 << 20))
 
 
 def test_conv_scratch_never_leaks_into_results(rng):
