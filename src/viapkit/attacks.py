@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from viapkit import nn, prng
+from viapkit import nn, prng, render
 
 FAMILIES = ("fgsm", "fgsm-t", "bim", "bim-t", "viap", "viap-t")
 TARGETED_FAMILIES = frozenset({"fgsm-t", "bim-t", "viap-t"})
@@ -313,15 +313,19 @@ def load_perturbation(path) -> Perturbation:
         raise ValueError(f"{path}: header length {n} runs past the end of the file")
     try:
         header = json.loads(buf[start : start + n].decode("utf-8"))
-        shape = tuple(int(d) for d in header["shape"])
+        shape, view_ids, final_loss = (header[k] for k in ("shape", "view_ids", "final_loss"))
+        render._require_count("shape extent", *shape)
+        render._require_count("view id", *view_ids)
+        if type(final_loss) not in (int, float) or not math.isfinite(final_loss):
+            raise ValueError(f"final_loss {final_loss!r} is not a finite number")
         payload = len(buf) - start - n
         if payload != 8 * math.prod(shape):
             raise ValueError(f"{payload} payload bytes do not hold a float64 array of shape {shape}")
         return Perturbation(
             delta=np.frombuffer(buf, dtype="<f8", offset=start + n).reshape(shape),
             config=AttackConfig(**header["config"]),
-            view_ids=tuple(header["view_ids"]),
-            final_loss=header["final_loss"],
+            view_ids=tuple(view_ids),
+            final_loss=final_loss,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed perturbation file: {exc}") from exc

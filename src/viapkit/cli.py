@@ -19,8 +19,6 @@ import os
 import sys
 import typing
 
-import numpy as np
-
 from viapkit import attacks, evaluate, forked, nn, render
 from viapkit import train as train_mod
 
@@ -280,15 +278,14 @@ def cmd_attack(args) -> int:
     pert = attacks.Perturbation(delta, acfg, ds.view_ids[tr].tolist(), loss)
 
     attacks.save_perturbation(pert, os.path.join(out, "delta.viapdlt"))
-    tracked_label = true_label if acfg.target is None else acfg.target
     metrics = {"family": family, "eps": acfg.eps, "object": o, "true_label": true_label,
                "target": acfg.target, "final_loss": pert.final_loss}
-    # the train split scores the crafted views, as final_loss and the sweep's train cell do
+    # o's share of the sweep's cells: train scores the crafted views, as final_loss does
     for split, idx, adv, logits in (("train", tr, adv_train, logits_train),
                                     ("test", te, adv_test, logits_test)):
-        probs = nn.softmax(logits)
-        metrics[f"{split}_tracked_softmax"] = float(probs[:, tracked_label].mean())
-        metrics[f"{split}_top1_true"] = float(np.mean(np.argmax(logits, axis=1) == ds.labels[idx]))
+        cell = evaluate._make_cell(family, acfg.eps, split, logits, ds.labels[idx], acfg.target)
+        metrics[f"{split}_tracked_softmax"] = cell.mean
+        metrics[f"{split}_top1_true"] = cell.top1_true
         write_idx = int(idx[0])
         render.write_ppm(ds.images[write_idx], os.path.join(out, f"clean_{split}_{write_idx}.ppm"))
         render.write_ppm(adv[0], os.path.join(out, f"adv_{split}_{write_idx}.ppm"))
@@ -358,20 +355,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default=None, help="output directory")
+        return p
 
-    p = sub.add_parser("dataset", help="render the multi-view dataset")
-    common(p)
+    command("dataset", cmd_dataset, "render the multi-view dataset")
 
-    p = sub.add_parser("train", help="train the victim classifier")
-    common(p)
+    p = command("train", cmd_train, "train the victim classifier")
     p.add_argument("--dataset", default="runs/dataset", help="dataset directory")
 
-    p = sub.add_parser("attack", help="craft a perturbation for one object")
-    common(p)
+    p = command("attack", cmd_attack, "craft a perturbation for one object")
     p.add_argument("--dataset", default="runs/dataset")
     p.add_argument("--weights", default="runs/model/weights.viapnet")
     p.add_argument("--family", choices=attacks.FAMILIES, default=None)
@@ -381,8 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--object", type=int, default=None)
     p.add_argument("--literal-eq-step", action="store_true", help="force step = eps")
 
-    p = sub.add_parser("sweep", help="full eps sweep over all families")
-    common(p)
+    p = command("sweep", cmd_sweep, "full eps sweep over all families")
     p.add_argument("--dataset", default=None, help="existing dataset dir (else generated)")
     p.add_argument("--weights", default=None, help="existing weights file (else trained)")
     p.add_argument("--family", default=None, help="comma list restricting families")
@@ -397,14 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "dataset": cmd_dataset,
-        "train": cmd_train,
-        "attack": cmd_attack,
-        "sweep": cmd_sweep,
-    }
     try:
-        code = handlers[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

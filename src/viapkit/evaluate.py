@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -198,18 +198,12 @@ class Cell:
     top1_true: float
     top1_target: float
     values: np.ndarray        # tracked softmax per view, split order
-    correct: np.ndarray       # argmax == true label, per view
-    hits_target: np.ndarray   # argmax == per-object target, per view
+    correct: np.ndarray       # prediction == true label, per view
+    hits_target: np.ndarray   # prediction == per-object target, per view
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family, "eps": self.eps, "split": self.split,
-            "metric": self.metric, "mean": self.mean, "std": self.std, "n": self.n,
-            "top1_true": self.top1_true, "top1_target": self.top1_target,
-            "values": [float(v) for v in self.values],
-            "correct": [bool(v) for v in self.correct],
-            "hits_target": [bool(v) for v in self.hits_target],
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return out | {name: out[name].tolist() for name in ("values", "correct", "hits_target")}
 
 
 @dataclass
@@ -282,10 +276,10 @@ def attack_object(params: nn.ModelParams, dataset: Dataset, config: AttackConfig
             nn.forward(params, adv_train), nn.forward(params, adv_test))
 
 
-def _make_cell(family, eps, split, probs, labels, targets_pv) -> Cell:
+def _make_cell(family, eps, split, logits, labels, targets_pv) -> Cell:
+    """A cell scored from its views' logits; targets_pv: per-view targets, one target or None."""
     is_targeted = attacks.targeted(family)
-    pred = np.argmax(probs, axis=1)
-    tracked = probs[np.arange(len(labels)), targets_pv if is_targeted else labels]
+    pred, tracked = train.score_views(logits, targets_pv if is_targeted else labels)
     return Cell(
         family=family, eps=float(eps), split=split,
         metric="target_softmax" if is_targeted else "true_softmax",
@@ -312,25 +306,25 @@ def confidence_sweep(
     Objects are independent, so the sweep is one work list of every
     (family, eps > 0, object), run in one round on `jobs` processes
     (forked.Helpers): this one and the crafters, forked after the clean
-    signs are taken. Each item attacks its object and sends back the softmax
-    rows of its views and their sample pixels, never the views. Every output
-    bit, and the order of samples, is the same for any jobs.
+    signs are taken. Each item attacks its object and sends back the logits
+    of its views and their sample pixels, never the views. Every output bit,
+    and the order of samples, is the same for any jobs.
 
-    Softmax rows are kept per (family, eps) in one array indexed by dataset
-    row, which each cell slices by split. Views are read from dataset.images
-    by row when a stage needs them, so no split of the images is copied.
+    Logits are kept per (family, eps) in one array indexed by dataset row,
+    which each cell slices by split and scores as the gate does. Views are
+    read from dataset.images by row when a stage needs them, so no split of
+    the images is copied.
     """
     images, labels = dataset.images, dataset.labels
     splits = {split: dataset.indices(split) for split in ("train", "test")}
     k = dataset.n_classes
 
     # one clean forward per split serves the gate and every eps = 0 cell
-    clean, clean_probs = {}, np.empty((len(images), k))
+    clean, clean_logits = {}, np.empty((len(images), k))
     for split, idx in splits.items():
-        logits = nn.forward(params, images, idx)
+        clean_logits[idx] = nn.forward(params, images, idx)
         clean[f"{split}_acc"], clean[f"{split}_true_softmax"] = train.clean_metrics(
-            logits, labels[idx])
-        clean_probs[idx] = nn.softmax(logits)
+            clean_logits[idx], labels[idx])
     if clean["train_acc"] < config.gate_train or clean["test_acc"] < config.gate_test:
         raise GateFailure(
             {"train_acc": clean["train_acc"], "test_acc": clean["test_acc"],
@@ -366,7 +360,7 @@ def confidence_sweep(
     # item attacks its object and scores its own views on the process it ran on
     work = [(family, eps, o) for family, eps in itertools.product(config.families, config.eps_grid)
             if eps > 0.0 for o in objects]
-    probs = {(f, e): np.empty((len(images), k)) for f, e, _ in work}
+    logits = {(f, e): np.empty((len(images), k)) for f, e, _ in work}
     samples = [None] * len(work)
 
     def craft_and_score(i):
@@ -374,13 +368,13 @@ def confidence_sweep(
         *_, adv_test, logits_train, logits_test = attack_object(
             params, dataset, config.attack_config(family, eps, targets[o]), config.seed, o,
             clean_steps.get((o, attacks.targeted(family))))
-        return (nn.softmax(logits_train), nn.softmax(logits_test),
+        return (logits_train, logits_test,
                 {(family, float(eps), int(r)): ppm_pixels(adv_test[j])
                  for j, r in enumerate(rows[o][1]) if r in sample_rows})
 
     def keep(i, scored):
         family, eps, o = work[i]
-        found = probs[(family, eps)]
+        found = logits[(family, eps)]
         found[rows[o][0]], found[rows[o][1]], samples[i] = scored
 
     with forked.Helpers(jobs, craft_and_score, keep, len(work), "crafter") as crafters:
@@ -388,7 +382,7 @@ def confidence_sweep(
     for found in samples:
         result.samples.update(found)
     for family, eps in itertools.product(config.families, config.eps_grid):
-        found = probs.get((family, eps), clean_probs)
+        found = logits.get((family, eps), clean_logits)
         result.cells += [_make_cell(family, eps, split, found[idx], labels[idx], row_target[idx])
                          for split, idx in splits.items()]
 
@@ -445,15 +439,18 @@ def emit_report(sweep: SweepResult, ttests: list, out_dir) -> list:
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
+    def put(name: str, text: str) -> None:
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(text)
+        written.append(name)
+
     rows = ["family,epsilon,split,metric,mean,std,n"]
     for c in sweep.cells:
         rows.append(
             f"{c.family},{_fmt_eps(c.eps)},{c.split},{c.metric},"
             f"{repr(c.mean)},{repr(c.std)},{c.n}"
         )
-    with open(os.path.join(out_dir, "report.csv"), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-    written.append("report.csv")
+    put("report.csv", "\n".join(rows) + "\n")
 
     rows = ["family,split,metric,mean,std"]
     for family in sweep.config.families:
@@ -464,17 +461,13 @@ def emit_report(sweep: SweepResult, ttests: list, out_dir) -> list:
                 f"{family},{split},{cells[0].metric},"
                 f"{repr(float(means.mean()))},{repr(float(means.std()))}"
             )
-    with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-    written.append("summary.csv")
+    put("summary.csv", "\n".join(rows) + "\n")
 
     if ttests:
         rows = ["pair,t,df,p_value,n_a,n_b"]
         for t in ttests:
             rows.append(f"{t.label},{repr(t.t)},{repr(t.df)},{repr(t.p_value)},{t.n_a},{t.n_b}")
-        with open(os.path.join(out_dir, "significance.csv"), "w") as fh:
-            fh.write("\n".join(rows) + "\n")
-        written.append("significance.csv")
+        put("significance.csv", "\n".join(rows) + "\n")
 
     report = {
         "config": asdict(sweep.config),
@@ -485,6 +478,7 @@ def emit_report(sweep: SweepResult, ttests: list, out_dir) -> list:
         "ttests": [asdict(t) for t in ttests],
         "footnotes": list(_FOOTNOTES),
     }
+    # streamed: the whole text at once would raise the sweep's peak memory
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,6 +63,11 @@ def _scratch_view(name: str, shape: tuple) -> np.ndarray:
         _scratch[name] = np.empty(0)  # free the old buffer before the larger one is allocated
         _scratch[name] = np.empty(size)
     return _scratch[name][:size].reshape(shape)
+
+
+def free_scratch() -> None:
+    """Let the patch scratch go; the next conv grows it again."""
+    _scratch.update(padded=np.empty(0), cols=np.empty(0))
 
 
 def _patch_blocks(x: np.ndarray, n: int):
@@ -250,9 +255,7 @@ class ModelParams:
 
     def replace_weights(self, **arrays) -> "ModelParams":
         """New ModelParams with some weight arrays swapped out."""
-        kw = {f: getattr(self, f) for f in PARAM_FIELDS}
-        kw.update(arrays)
-        return ModelParams(self.height, self.width, self.channels, self.classes, **kw)
+        return replace(self, **arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -441,10 +441,11 @@ def write_ppm(image: np.ndarray, path) -> None:
 # Dataset
 # ---------------------------------------------------------------------------
 
-def _require_count(what: str, value) -> None:
-    """ValueError unless value is a non-negative int (a JSON integer, not a bool or float)."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{what} {value!r} is not a non-negative integer")
+def _require_count(what: str, *values) -> None:
+    """ValueError unless each value is a non-negative int (a JSON integer, not a bool or float)."""
+    for value in values:
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{what} {value!r} is not a non-negative integer")
 
 
 @dataclass
@@ -513,13 +514,11 @@ class Dataset:
         return len(self.manifest.classes)
 
     def indices(self, split: str | None = None, object_id: int | None = None) -> np.ndarray:
-        keep = np.ones(len(self.labels), dtype=bool)
-        if split == "train":
-            keep &= self.train_mask
-        elif split == "test":
-            keep &= ~self.train_mask
-        elif split is not None:
+        if split not in (None, "train", "test"):
             raise ValueError(f"unknown split {split!r}")
+        keep = np.ones(len(self.labels), dtype=bool)
+        if split is not None:
+            keep &= self.train_mask == (split == "train")
         if object_id is not None:
             keep &= self.object_ids == object_id
         return np.flatnonzero(keep)
@@ -664,8 +663,7 @@ def load_dataset(in_dir) -> Dataset:
         shape = raw["image_shape"]
         if not isinstance(shape, list) or len(shape) != 3:
             raise ValueError(f"image_shape {shape!r} is not (height, width, channels)")
-        for d in shape:
-            _require_count("image_shape extent", d)
+        _require_count("image_shape extent", *shape)
         shape = tuple(shape)
         per = math.prod(shape) * 8
         views = list(raw["views"])

@@ -193,17 +193,21 @@ def train(
             best_weights = epoch_weights
 
     pending = None  # the epoch being scored: (epoch, loss, its weights)
-    with forked.Helpers(jobs, score, keep, 1, "scorer") as scorers:
-        for epoch in range(config.epochs):
-            try:
-                loss = run_epoch(epoch)
-            finally:
-                # the epoch before is scored first, so its error comes first
-                if pending is not None:
-                    record(*pending)
-            pending = epoch, loss, dict(weights)
-            scorers.start(pending[2])
-        record(*pending)
+    try:
+        with forked.Helpers(jobs, score, keep, 1, "scorer") as scorers:
+            for epoch in range(config.epochs):
+                try:
+                    loss = run_epoch(epoch)
+                finally:
+                    # the epoch before is scored first, so its error comes first
+                    if pending is not None:
+                        record(*pending)
+                pending = epoch, loss, dict(weights)
+                scorers.start(pending[2])
+            record(*pending)
+    finally:
+        # a training batch's patch matrices are the largest any later stage needs
+        nn.free_scratch()
 
     return params.replace_weights(**best_weights), log
 
@@ -238,11 +242,18 @@ def evaluate_clean(
 
 def clean_metrics(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """evaluate_clean's (top-1 accuracy, mean true-label softmax) from a split's logits."""
-    labels = np.asarray(labels, dtype=np.int64)
+    pred, true_conf = score_views(logits, labels)
+    return float(np.mean(pred == labels)), float(np.mean(true_conf))
+
+
+def score_views(logits: np.ndarray, tracked) -> tuple[np.ndarray, np.ndarray]:
+    """Each view's prediction, the argmax of its logits, and its softmax mass on tracked.
+
+    tracked is a label or one per view. A softmax row never ranks: its
+    rounding can tie labels that the logits tell apart.
+    """
     probs = nn.softmax(logits)
-    acc = float(np.mean(np.argmax(logits, axis=1) == labels))
-    true_conf = float(np.mean(probs[np.arange(len(labels)), labels]))
-    return acc, true_conf
+    return np.argmax(logits, axis=1), probs[np.arange(len(logits)), tracked]
 
 
 def log_csv(log: list[dict]) -> str:

@@ -437,6 +437,27 @@ def test_load_perturbation_rejects_truncated_and_extended_files(tmp_path):
             attacks.load_perturbation(path)
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("final_loss", "abc", "final_loss"),
+    ("final_loss", None, "final_loss"),
+    ("final_loss", True, "final_loss"),
+    ("final_loss", [1], "final_loss"),
+    ("view_ids", [1.7, True], "view id"),
+    ("view_ids", [-3], "view id"),
+    ("shape", [4.9, 4, 3], "shape extent"),
+    ("shape", [True, 4, 12], "shape extent"),
+])
+def test_load_perturbation_refuses_a_header_field_it_would_coerce(tmp_path, field, value, named):
+    buf = saved_perturbation_bytes(tmp_path)
+    magic, start = attacks.DELTA_MAGIC, len(attacks.DELTA_MAGIC) + 4
+    (n,) = struct.unpack_from("<I", buf, len(magic))
+    head = json.dumps({**json.loads(buf[start : start + n]), field: value}).encode()
+    path = tmp_path / "bad.viapdlt"
+    path.write_bytes(magic + struct.pack("<I", len(head)) + head + buf[start + n :])
+    with pytest.raises(ValueError, match=f"malformed perturbation file: {named} "):
+        attacks.load_perturbation(path)
+
+
 def test_load_perturbation_rejects_bad_headers(tmp_path):
     buf = saved_perturbation_bytes(tmp_path)
     magic, start = attacks.DELTA_MAGIC, len(attacks.DELTA_MAGIC) + 4

@@ -219,6 +219,8 @@ def test_attack_reproduces_its_sweep_cell(tiny_run):
                         if (c["family"], c["eps"], c["split"]) == (family, 3.0, split))
             want = np.mean([cell["values"][p] for p in pos])
             assert metrics[f"{split}_tracked_softmax"] == want, (family, split)
+            want = np.mean([cell["correct"][p] for p in pos])
+            assert metrics[f"{split}_top1_true"] == want, (family, split)
 
 
 def test_attack_makes_one_kernel_call(tiny_run, kernel_calls):

@@ -126,7 +126,27 @@ def test_sweep_eps_zero_rows_are_clean(tiny_sweep):
     base_t = tiny_sweep.cell("fgsm-t", 0.0, "test")
     assert np.array_equal(tiny_sweep.cell("viap", 0.0, "test").values, base_u.values)
     assert np.array_equal(tiny_sweep.cell("viap-t", 0.0, "test").values, base_t.values)
-    assert base_u.mean == pytest.approx(tiny_sweep.clean["test_true_softmax"], abs=1e-12)
+    # the untargeted cells hold the gate's clean scores, bit for bit
+    for family, split in itertools.product(("fgsm", "viap"), ("train", "test")):
+        c = tiny_sweep.cell(family, 0.0, split)
+        assert c.top1_true == tiny_sweep.clean[f"{split}_acc"], (family, split)
+        assert c.mean == tiny_sweep.clean[f"{split}_true_softmax"], (family, split)
+
+
+def test_eps_zero_cells_rank_by_the_logits_the_gate_scored(tiny_dataset, victim, monkeypatch):
+    # each view's true label ties label 0 once the logits go through softmax
+    def tied(params, x, rows=None):
+        logits = np.full((len(rows), 4), -50.0)
+        logits[:, 0] = 0.0
+        logits[np.arange(len(rows)), tiny_dataset.labels[rows]] = 1e-17
+        return logits
+
+    monkeypatch.setattr(nn, "forward", tied)
+    config = evaluate.SweepConfig(eps_grid=(0.0,), gate_train=0.0, gate_test=0.0)
+    result = evaluate.confidence_sweep(victim, tiny_dataset, config=config, jobs=1)
+    assert result.clean["train_acc"] == result.clean["test_acc"] == 1.0
+    for c in result.cells:
+        assert c.top1_true == 1.0 and c.correct.all(), (c.family, c.split)
 
 
 def test_eps_zero_cells_share_one_clean_forward_per_split(tiny_dataset, victim, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from forking import deadline, fail_in_a_helper
-from viapkit import nn, train
+from viapkit import evaluate, nn, train
 
 
 def toy_data(rng, n=24, hw=8, classes=4):
@@ -136,6 +136,35 @@ def test_evaluate_clean_uniform_model(rng):
     )
     _, conf = train.evaluate_clean(zeroed, x, y)
     assert conf == pytest.approx(0.25, abs=1e-12)
+
+
+def test_a_prediction_is_the_argmax_of_the_logits():
+    # the two top softmax entries both round to 0.5, so an argmax of the
+    # softmax row would pick label 0 where the logits say 1
+    logits, labels = np.array([[0.0, 1e-17, -50.0, -50.0]]), np.array([1])
+    probs = nn.softmax(logits)
+    assert probs[0, 0] == probs[0, 1]
+    pred, tracked = train.score_views(logits, labels)
+    assert pred.tolist() == [1] and tracked[0] == probs[0, 1]
+    assert train.clean_metrics(logits, labels) == (1.0, probs[0, 1])
+    for family in ("fgsm", "fgsm-t"):
+        cell = evaluate._make_cell(family, 0.0, "test", logits, labels, np.array([0]))
+        assert (cell.top1_true, cell.top1_target) == (1.0, 0.0), family
+
+
+@pytest.mark.parametrize("diverges", [False, True])
+def test_training_leaves_no_patch_scratch(rng, diverges):
+    x, y = toy_data(rng, n=16)
+    p0 = train.init_params(0, height=8, width=8)
+    nn._scratch_view("cols", (1000,))
+    if diverges:
+        # the first epoch's weights score non-finite logits
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                train.train(p0, (1.0 + x) * 1e160, y, train.TrainConfig(epochs=3, lr=1.0))
+    else:
+        train.train(p0, x, y, train.TrainConfig(epochs=1))
+    assert {name: buf.size for name, buf in nn._scratch.items()} == {"padded": 0, "cols": 0}
 
 
 def test_log_csv_layout(rng):
