@@ -211,7 +211,8 @@ class Perturbation:
         delta = delta.copy()
         delta.setflags(write=False)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "view_ids", tuple(int(v) for v in self.view_ids))
+        render._require_count("view id", *self.view_ids)
+        object.__setattr__(self, "view_ids", tuple(self.view_ids))
 
     def apply(self, images: np.ndarray) -> np.ndarray:
         return apply_delta(self.delta, images)
@@ -300,6 +301,25 @@ def save_perturbation(p: Perturbation, path) -> None:
         fh.write(np.ascontiguousarray(p.delta, dtype="<f8").tobytes())
 
 
+# The JSON types a delta header's config fields may take: None where
+# AttackConfig allows it, and no bool where a number is meant.
+_CONFIG_TYPES = {
+    "family": (str,), "eps": (int, float), "step": (int, float, type(None)),
+    "iterations": (int, type(None)), "target": (int, type(None)), "rho": (int, float),
+    "seed": (int,), "literal_eq_step": (bool,),
+}
+
+
+def _config_from_header(config) -> AttackConfig:
+    """AttackConfig of a delta header's config object; ValueError naming a field of the wrong type."""
+    if type(config) is not dict:
+        raise ValueError(f"config {config!r} is not an object")
+    for name, value in config.items():
+        if name in _CONFIG_TYPES and type(value) not in _CONFIG_TYPES[name]:
+            raise ValueError(f"config field {name} {value!r} has the wrong type")
+    return AttackConfig(**config)
+
+
 def load_perturbation(path) -> Perturbation:
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -315,7 +335,6 @@ def load_perturbation(path) -> Perturbation:
         header = json.loads(buf[start : start + n].decode("utf-8"))
         shape, view_ids, final_loss = (header[k] for k in ("shape", "view_ids", "final_loss"))
         render._require_count("shape extent", *shape)
-        render._require_count("view id", *view_ids)
         if type(final_loss) not in (int, float) or not math.isfinite(final_loss):
             raise ValueError(f"final_loss {final_loss!r} is not a finite number")
         payload = len(buf) - start - n
@@ -323,8 +342,8 @@ def load_perturbation(path) -> Perturbation:
             raise ValueError(f"{payload} payload bytes do not hold a float64 array of shape {shape}")
         return Perturbation(
             delta=np.frombuffer(buf, dtype="<f8", offset=start + n).reshape(shape),
-            config=AttackConfig(**header["config"]),
-            view_ids=tuple(view_ids),
+            config=_config_from_header(header["config"]),
+            view_ids=view_ids,
             final_loss=final_loss,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

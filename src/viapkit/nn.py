@@ -11,12 +11,25 @@ applies relu to the 4x smaller pooled array; relu is monotone, so the values
 and routes are those of pooling the relu output, bit for bit. Every zero the
 network pools is +0.0, even where a conv output is -0.0.
 
-conv2d and conv2d_input_grad build their im2col patch matrices in L2-sized
-blocks of whole images, and conv2d_param_grad builds its whole-batch one
-K-major (channel-major, one row per kernel tap), in per-process scratch that
-every call reuses. The K-major matrix is the row-major one's transpose, stored
-C-contiguous. A GEMM packs its A operand into the same panels from either
-layout, so the weight gradients keep the bits of the transposed view's product.
+Each conv GEMM reads an im2col patch matrix (columns ordered row, col,
+channel), built in one of two per-process scratch buffers that every call
+reuses:
+
+- cols holds a whole batch's K-major matrix (9*C, B*H*W), one row per kernel
+  tap. forward_graph builds conv1's; conv1's forward GEMMs, one per image
+  row, read its transposed (B, H, W, 9*C) view, and Graph.backward's conv1
+  weight-gradient GEMM reads it again; conv2d_param_grad then builds conv2's
+  over it. So a training step builds conv1's patches once.
+- padded holds the zero-padded input of a K-major build, and otherwise the
+  row blocks of whole images that conv2d and conv2d_input_grad build (conv2's
+  forward and both input grads, and conv1's forward in forward()), each
+  block's padded images beside its patches, so no block overwrites cols.
+
+The K-major matrix is the row-major one's transpose, stored C-contiguous. A
+GEMM packs its A operand into the same panels whether it reads it row-major
+or transposed, so a product with either layout has the bits of the product
+with the row-major matrix, as long as each GEMM keeps its shape: BLAS rounds
+a row by its tile place.
 """
 
 from __future__ import annotations
@@ -55,6 +68,9 @@ BLOCK_BYTES = 1 << 20
 # Patch scratch, one per process, grown on demand: fresh patch-matrix
 # temporaries would fault their pages in on every call. No result views it.
 _scratch = {"padded": np.empty(0), "cols": np.empty(0)}
+# Counts the K-major matrices built in cols. A Graph keeps the count its conv1
+# matrix got and reads that matrix back only while no later build replaced it.
+_cols_built = [0]
 
 
 def _scratch_view(name: str, shape: tuple) -> np.ndarray:
@@ -68,21 +84,28 @@ def _scratch_view(name: str, shape: tuple) -> np.ndarray:
 def free_scratch() -> None:
     """Let the patch scratch go; the next conv grows it again."""
     _scratch.update(padded=np.empty(0), cols=np.empty(0))
+    _cols_built[0] += 1
 
 
 def _patch_blocks(x: np.ndarray, n: int):
-    """Yield (i, patch matrix of x[i : i + n]) for every block of n images, a view of the scratch.
+    """Yield (i, patch matrix of x[i : i + m]) for blocks of m <= n images, views of the scratch.
 
     A block's matrix is its 3x3 zero-padded patches, (m, H, W, 9*C), valid
     until the next block is built. Patch columns are ordered (row, col,
     channel) to match a reshaped (3, 3, C, out) kernel. The 3 pixels x C
     channels of one kernel row are contiguous in the padded image, so one
-    strided view covers every patch.
+    strided view covers every patch. A block's padded images and its matrix
+    both live in the padded buffer, so the cols buffer keeps its K-major
+    matrix: m is cut to the images that fit there, and the buffer grows only
+    to fit one.
     """
     b, h, w, c = x.shape
-    padded = _scratch_view("padded", (n, h + 2, w + 2, c))
+    image = ((h + 2) * (w + 2) * c, h * w * KERNEL * KERNEL * c)
+    n = min(n, max(1, _scratch["padded"].size // sum(image)))
+    buf = _scratch_view("padded", (n * sum(image),))
+    padded = buf[: n * image[0]].reshape(n, h + 2, w + 2, c)
     padded[:, :: h + 1] = padded[:, :, :: w + 1] = 0.0  # the border rows, then columns
-    cols = _scratch_view("cols", (n, h, w, KERNEL, KERNEL * c))
+    cols = buf[n * image[0] :].reshape(n, h, w, KERNEL, KERNEL * c)
     s = padded.strides
     rows = np.ndarray(cols.shape, padded.dtype, padded, 0, (s[0], s[1], s[2], s[1], s[3]))
     for i in range(0, b, n):
@@ -132,18 +155,31 @@ def _patch_matrix_t(x: np.ndarray) -> np.ndarray:
     s = padded.strides
     taps = np.ndarray(cols.shape, padded.dtype, padded, 0, (s[2], s[3], *s))
     np.copyto(cols, taps)
+    _cols_built[0] += 1
     return cols.reshape(KERNEL * KERNEL * c, -1)
+
+
+def _kept_patch_matrix_t(x: np.ndarray, built: int) -> np.ndarray:
+    """x's K-major matrix: still in cols if it got build number `built` and none came since, else built again."""
+    if _cols_built[0] != built:
+        return _patch_matrix_t(x)
+    return _scratch["cols"][: x.size * KERNEL * KERNEL].reshape(KERNEL * KERNEL * x.shape[-1], -1)
+
+
+def _param_grad(
+    cols_t: np.ndarray, dy: np.ndarray, cin: int, cout: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel and bias gradients of a conv whose input has the K-major patch matrix cols_t."""
+    # one whole-batch GEMM: a reduction over row blocks would change its bits.
+    # BLAS packs the K-major matrix as it packs the row-major one's transposed
+    # view, so dw has that product's bits while reading a contiguous operand.
+    dw = cols_t @ dy.reshape(-1, cout)
+    return dw.reshape(KERNEL, KERNEL, cin, cout), dy.sum(axis=(0, 1, 2))
 
 
 def conv2d_param_grad(x: np.ndarray, dy: np.ndarray, cout: int) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of conv2d w.r.t. kernel and bias."""
-    # one whole-batch GEMM: a reduction over row blocks would change its bits.
-    # BLAS packs the K-major matrix as it packs the row-major one's transposed
-    # view, so dw has that product's bits while reading a contiguous operand.
-    dw = _patch_matrix_t(x) @ dy.reshape(-1, cout)
-    dw = dw.reshape(KERNEL, KERNEL, x.shape[-1], cout)
-    db = dy.sum(axis=(0, 1, 2))
-    return dw, db
+    return _param_grad(_patch_matrix_t(x), dy, x.shape[-1], cout)
 
 
 def _quadrants(x: np.ndarray) -> list[np.ndarray]:
@@ -269,11 +305,14 @@ class Graph:
     Valid only for the batch it was recorded from; replaying the same batch
     reproduces every stored array bit for bit. The conv outputs z1, z2 are
     not kept: backward needs only their shapes, because a pooled output is
-    positive exactly where relu passes the gradient at its route.
+    positive exactly where relu passes the gradient at its route. conv1_built
+    numbers the build of x's K-major patch matrix in the scratch; backward
+    reads that matrix while it is the latest build and builds it again if not.
     """
 
     params: ModelParams
     x: np.ndarray
+    conv1_built: int
     z1_shape: tuple
     i1: np.ndarray
     p1: np.ndarray
@@ -312,8 +351,10 @@ class Graph:
 
         grads = None
         if need_params:
+            # conv1's first: conv2's matrix is built over it
+            cols_t = _kept_patch_matrix_t(self.x, self.conv1_built)
+            dw1, db1 = _param_grad(cols_t, dz1, self.x.shape[-1], CONV1_CHANNELS)
             dw2, db2 = conv2d_param_grad(self.p1, dz2, CONV2_CHANNELS)
-            dw1, db1 = conv2d_param_grad(self.x, dz1, CONV1_CHANNELS)
             grads = {"conv1_w": dw1, "conv1_b": db1, "conv2_w": dw2, "conv2_b": db2,
                      "dense_w": flat.T @ dlogits, "dense_b": dlogits.sum(axis=0)}
         return dx, grads
@@ -336,16 +377,27 @@ def _check_batch(params: ModelParams, batch: np.ndarray, finite: bool = True) ->
 
 
 def forward_graph(params: ModelParams, batch: np.ndarray) -> Graph:
-    """Run the network and record every intermediate needed by backward."""
+    """Run the network and record every intermediate needed by backward.
+
+    conv1 reads its patches from the K-major matrix its weight gradient
+    reads, so a training step builds that matrix once.
+    """
     x = _check_batch(params, batch)
-    z1 = conv2d(x, params.conv1_w, params.conv1_b)
+    cols_t = _patch_matrix_t(x)
+    # a GEMM per image row on the matrix's transposed view, as conv2d computes them
+    z1 = np.matmul(cols_t.T.reshape(*x.shape[:3], -1), params.conv1_w.reshape(-1, CONV1_CHANNELS))
+    z1 += params.conv1_b
+    return Graph(params=params, x=x, conv1_built=_cols_built[0], **_after_conv1(params, x, z1))
+
+
+def _after_conv1(params: ModelParams, x: np.ndarray, z1: np.ndarray) -> dict:
+    """The Graph fields of x from conv1's output z1 on."""
     p1, i1 = maxpool2(z1)
     z2 = conv2d(p1, params.conv2_w, params.conv2_b)
     p2, i2 = maxpool2(z2)
     logits = dense(p2.reshape(x.shape[0], -1), params.dense_w, params.dense_b)
     require_finite("logits", logits)
-    return Graph(params=params, x=x, z1_shape=z1.shape, i1=i1, p1=p1,
-                 z2_shape=z2.shape, i2=i2, p2=p2, logits=logits)
+    return dict(z1_shape=z1.shape, i1=i1, p1=p1, z2_shape=z2.shape, i2=i2, p2=p2, logits=logits)
 
 
 # Most rows per forward_graph call in forward(). Inference needs no recorded
@@ -368,8 +420,12 @@ def forward(params: ModelParams, batch: np.ndarray, rows=None) -> np.ndarray:
     x = _check_batch(params, batch, finite=False)  # each block is checked as it runs
     n = x.shape[0] if rows is None else len(rows)
     parts = np.array_split(np.arange(n) if rows is None else rows, -(-n // FORWARD_BLOCK))
-    blocks = (x[p[0] : p[-1] + 1] if rows is None else x[p] for p in parts)
-    features = np.concatenate([forward_graph(params, block).p2 for block in blocks])
+    blocks = (_check_batch(params, x[p[0] : p[-1] + 1] if rows is None else x[p]) for p in parts)
+    # conv1 in row blocks: the whole block's K-major matrix would grow the scratch
+    features = np.concatenate([
+        _after_conv1(params, block, conv2d(block, params.conv1_w, params.conv1_b))["p2"]
+        for block in blocks
+    ])
     logits = dense(features.reshape(n, -1), params.dense_w, params.dense_b)
     require_finite("logits", logits)
     return logits

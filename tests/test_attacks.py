@@ -458,6 +458,33 @@ def test_load_perturbation_refuses_a_header_field_it_would_coerce(tmp_path, fiel
         attacks.load_perturbation(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("iterations", 2.5), ("seed", True), ("eps", True), ("target", 1.5),
+    ("literal_eq_step", "no"), ("step", False), ("rho", "0.1"), ("family", 3),
+])
+def test_load_perturbation_refuses_a_config_field_of_the_wrong_type(tmp_path, field, value):
+    buf = saved_perturbation_bytes(tmp_path)
+    magic, start = attacks.DELTA_MAGIC, len(attacks.DELTA_MAGIC) + 4
+    (n,) = struct.unpack_from("<I", buf, len(magic))
+    header = json.loads(buf[start : start + n])
+    head = json.dumps({**header, "config": {**header["config"], field: value}}).encode()
+    path = tmp_path / "bad.viapdlt"
+    path.write_bytes(magic + struct.pack("<I", len(head)) + head + buf[start + n :])
+    with pytest.raises(ValueError, match=f"malformed perturbation file: config field {field} "):
+        attacks.load_perturbation(path)
+
+
+def test_config_types_cover_every_attack_config_field():
+    assert set(attacks._CONFIG_TYPES) == {f.name for f in dataclasses.fields(attacks.AttackConfig)}
+
+
+@pytest.mark.parametrize("view_ids", [(1.7,), (True,), (0, -1), ("3",)])
+def test_perturbation_refuses_a_view_id_that_is_not_a_count(view_ids):
+    cfg = attacks.AttackConfig("viap", 4.0)
+    with pytest.raises(ValueError, match="view id "):
+        attacks.Perturbation(np.zeros((4, 4, 3)), cfg, view_ids, 0.5)
+
+
 def test_load_perturbation_rejects_bad_headers(tmp_path):
     buf = saved_perturbation_bytes(tmp_path)
     magic, start = attacks.DELTA_MAGIC, len(attacks.DELTA_MAGIC) + 4
@@ -475,6 +502,7 @@ def test_load_perturbation_rejects_bad_headers(tmp_path):
         blob(json.dumps({k: v for k, v in header.items() if k != "config"}).encode()),
         blob(json.dumps({**header, "shape": [4, 4, 4]}).encode()),
         blob(json.dumps({**header, "shape": "abc"}).encode()),
+        blob(json.dumps({**header, "config": [1]}).encode()),
     ]
     for b in bad:
         path.write_bytes(b)

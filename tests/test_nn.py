@@ -345,6 +345,77 @@ def test_graph_matches_reference_kernels(rng, monkeypatch, batch, hw, block_byte
     assert (graph.p1 == 0.0).any() and (graph.p2 == 0.0).any()
 
 
+def oracle_params(rng, shape):
+    b, h, w, c = shape
+    u = lambda *s: rng.uniform(-0.5, 0.5, size=s)
+    return nn.ModelParams(
+        h, w, c, 4,
+        conv1_w=u(3, 3, c, nn.CONV1_CHANNELS), conv1_b=u(nn.CONV1_CHANNELS),
+        conv2_w=u(3, 3, nn.CONV1_CHANNELS, nn.CONV2_CHANNELS), conv2_b=u(nn.CONV2_CHANNELS),
+        dense_w=u((h // 4) * (w // 4) * nn.CONV2_CHANNELS, 4), dense_b=u(4),
+    )
+
+
+def oracle_param_grads(params, x, labels):
+    _, dlogits = nn.loss_and_dlogits(nn.forward_graph(params, x), labels)
+    return dlogits, dict(zip(nn.PARAM_FIELDS, oracles.graph_reference(params, x, dlogits)[4:]))
+
+
+@pytest.mark.parametrize("shape,block_bytes", [
+    *(pytest.param(s, None, id="x".join(map(str, s))) for s in TRAIN_SHAPES + KERNEL_SHAPES),
+    pytest.param((7, 32, 32, 3), 3 * 32 * 32 * 27 * 8, id="7-hw1-split-blocks"),
+    pytest.param((5, 9, 11, 3), 2 * 9 * 11 * 27 * 8, id="5-9x11-split-blocks"),
+])
+def test_param_grads_read_conv1_matrix_of_the_forward(rng, monkeypatch, shape, block_bytes):
+    # a training step builds conv1's K-major matrix once: conv1's forward and
+    # its weight gradient read it, and every gradient keeps the oracle's bits
+    if block_bytes is not None:
+        monkeypatch.setattr(nn, "BLOCK_BYTES", block_bytes)
+    params = oracle_params(rng, shape)
+    x = tied_batch(rng, shape)
+    labels = rng.integers(0, 4, size=shape[0])
+    dlogits, want = oracle_param_grads(params, x, labels)
+
+    builds = []
+    monkeypatch.setattr(nn, "_patch_matrix_t", lambda a, f=nn._patch_matrix_t: builds.append(a.shape) or f(a))
+    _, grads = nn.loss_and_param_grad(params, x, labels)
+    assert builds == [shape, (*shape[:1], shape[1] // 2, shape[2] // 2, nn.CONV1_CHANNELS)]
+    _, graph_grads = nn.forward_graph(params, x).backward(dlogits, need_input=False, need_params=True)
+    for f in nn.PARAM_FIELDS:
+        assert_same_bits(grads[f], want[f])
+        assert_same_bits(graph_grads[f], want[f])
+
+
+@pytest.mark.parametrize("other_batch", [7, 16, None])
+def test_backward_rebuilds_a_conv1_matrix_another_pass_overwrote(rng, monkeypatch, other_batch):
+    # the scratch holds one conv1 matrix: a graph whose matrix another
+    # forward_graph replaced, with nn.forward also run on the scratch before
+    # its backward (or whose scratch was freed), builds its matrix again and
+    # keeps the oracle's bits
+    params = rand_params(rng, hw=32)
+    x = rng.uniform(0, 1, size=(7, 32, 32, 3))
+    labels = rng.integers(0, 4, size=7)
+    dlogits, want = oracle_param_grads(params, x, labels)
+    graph = nn.forward_graph(params, x)
+    if other_batch is None:
+        nn.free_scratch()
+    else:
+        other = rng.uniform(0, 1, size=(other_batch, 32, 32, 3))
+        nn.forward_graph(params, other)
+        nn.forward(params, other)
+    builds = []
+    monkeypatch.setattr(nn, "_patch_matrix_t", lambda a, f=nn._patch_matrix_t: builds.append(a.shape) or f(a))
+    _, grads = graph.backward(dlogits, need_input=False, need_params=True)
+    assert builds == [x.shape, graph.p1.shape]
+    for f in nn.PARAM_FIELDS:
+        assert_same_bits(grads[f], want[f])
+    # conv2's matrix replaced conv1's: a second backward builds it again too
+    _, again = graph.backward(dlogits, need_input=False, need_params=True)
+    assert builds[2:] == [x.shape, graph.p1.shape]
+    for f in nn.PARAM_FIELDS:
+        assert_same_bits(again[f], want[f])
+
+
 def test_scratch_growth_frees_the_old_buffer_first(monkeypatch):
     # growing cols from 2^20 to 2^21 elements holds only the new buffer at its
     # peak (2x 8 MiB), not the old one beside it (3x)
