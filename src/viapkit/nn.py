@@ -12,18 +12,21 @@ and routes are those of pooling the relu output, bit for bit. Every zero the
 network pools is +0.0, even where a conv output is -0.0.
 
 Each conv GEMM reads an im2col patch matrix (columns ordered row, col,
-channel), built in one of two per-process scratch buffers that every call
-reuses:
+channel), built in two per-process scratch buffers, padded and cols, that
+every call reuses:
 
-- cols holds a whole batch's K-major matrix (9*C, B*H*W), one row per kernel
-  tap. forward_graph builds conv1's; conv1's forward GEMMs, one per image
-  row, read its transposed (B, H, W, 9*C) view, and Graph.backward's conv1
-  weight-gradient GEMM reads it again; conv2d_param_grad then builds conv2's
-  over it. So a training step builds conv1's patches once.
-- padded holds the zero-padded input of a K-major build, and otherwise the
-  row blocks of whole images that conv2d and conv2d_input_grad build (conv2's
-  forward and both input grads, and conv1's forward in forward()), each
-  block's padded images beside its patches, so no block overwrites cols.
+- conv2d and conv2d_input_grad build row-major (B, H, W, 9*C) matrices a
+  block of whole images at a time, at most BLOCK_BYTES of patches, with the
+  block's zero-padded images in padded and its patches in cols, and run one
+  GEMM per image row.
+- conv2d_param_grad builds a whole batch's K-major matrix (9*C, B*H*W), one
+  row per kernel tap, in cols from a zero-padded channel-first copy in padded,
+  for one whole-batch weight-gradient GEMM.
+- loss_and_param_grad builds conv1's K-major matrix once per step: conv1's
+  forward GEMMs, one per image row, read its transposed (B, H, W, 9*C) view,
+  and conv1's weight-gradient GEMM reads it again. While it waits in cols,
+  conv2's row blocks put their padded images and patches both in padded, in
+  as many whole images as fit where conv1's padded input was (at least one).
 
 The K-major matrix is the row-major one's transpose, stored C-contiguous. A
 GEMM packs its A operand into the same panels whether it reads it row-major
@@ -68,9 +71,12 @@ BLOCK_BYTES = 1 << 20
 # Patch scratch, one per process, grown on demand: fresh patch-matrix
 # temporaries would fault their pages in on every call. No result views it.
 _scratch = {"padded": np.empty(0), "cols": np.empty(0)}
-# Counts the K-major matrices built in cols. A Graph keeps the count its conv1
-# matrix got and reads that matrix back only while no later build replaced it.
-_cols_built = [0]
+# Times cols was written (or let go). A Graph reads its conv1 matrix back only
+# while no later write replaced it.
+_cols_writes = [0]
+# (write number, padded values) of the conv1 matrix loss_and_param_grad keeps
+# in cols: while it is the latest write, row blocks leave cols alone.
+_kept = [-1, 0]
 
 
 def _scratch_view(name: str, shape: tuple) -> np.ndarray:
@@ -84,7 +90,7 @@ def _scratch_view(name: str, shape: tuple) -> np.ndarray:
 def free_scratch() -> None:
     """Let the patch scratch go; the next conv grows it again."""
     _scratch.update(padded=np.empty(0), cols=np.empty(0))
-    _cols_built[0] += 1
+    _cols_writes[0] += 1
 
 
 def _patch_blocks(x: np.ndarray, n: int):
@@ -94,18 +100,23 @@ def _patch_blocks(x: np.ndarray, n: int):
     until the next block is built. Patch columns are ordered (row, col,
     channel) to match a reshaped (3, 3, C, out) kernel. The 3 pixels x C
     channels of one kernel row are contiguous in the padded image, so one
-    strided view covers every patch. A block's padded images and its matrix
-    both live in the padded buffer, so the cols buffer keeps its K-major
-    matrix: m is cut to the images that fit there, and the buffer grows only
-    to fit one.
+    strided view covers every patch. While cols keeps a conv1 matrix, a
+    block's padded images and matrix both go in the padded buffer, and m is
+    cut to the images that fit in the kept room (at least one).
     """
     b, h, w, c = x.shape
     image = ((h + 2) * (w + 2) * c, h * w * KERNEL * KERNEL * c)
-    n = min(n, max(1, _scratch["padded"].size // sum(image)))
-    buf = _scratch_view("padded", (n * sum(image),))
-    padded = buf[: n * image[0]].reshape(n, h + 2, w + 2, c)
+    if _kept[0] == _cols_writes[0]:
+        n = min(n, max(1, _kept[1] // sum(image)))
+        buf = _scratch_view("padded", (n * sum(image),))
+        padded, cols = buf[: n * image[0]], buf[n * image[0] :]
+    else:
+        padded = _scratch_view("padded", (n * image[0],))
+        cols = _scratch_view("cols", (n * image[1],))
+        _cols_writes[0] += 1
+    padded = padded.reshape(n, h + 2, w + 2, c)
     padded[:, :: h + 1] = padded[:, :, :: w + 1] = 0.0  # the border rows, then columns
-    cols = buf[n * image[0] :].reshape(n, h, w, KERNEL, KERNEL * c)
+    cols = cols.reshape(n, h, w, KERNEL, KERNEL * c)
     s = padded.strides
     rows = np.ndarray(cols.shape, padded.dtype, padded, 0, (s[0], s[1], s[2], s[1], s[3]))
     for i in range(0, b, n):
@@ -155,13 +166,13 @@ def _patch_matrix_t(x: np.ndarray) -> np.ndarray:
     s = padded.strides
     taps = np.ndarray(cols.shape, padded.dtype, padded, 0, (s[2], s[3], *s))
     np.copyto(cols, taps)
-    _cols_built[0] += 1
+    _cols_writes[0] += 1
     return cols.reshape(KERNEL * KERNEL * c, -1)
 
 
-def _kept_patch_matrix_t(x: np.ndarray, built: int) -> np.ndarray:
-    """x's K-major matrix: still in cols if it got build number `built` and none came since, else built again."""
-    if _cols_built[0] != built:
+def _kept_patch_matrix_t(x: np.ndarray, built: int | None) -> np.ndarray:
+    """x's K-major matrix, read back from cols if no write came after write number `built`."""
+    if _cols_writes[0] != built:
         return _patch_matrix_t(x)
     return _scratch["cols"][: x.size * KERNEL * KERNEL].reshape(KERNEL * KERNEL * x.shape[-1], -1)
 
@@ -305,14 +316,14 @@ class Graph:
     Valid only for the batch it was recorded from; replaying the same batch
     reproduces every stored array bit for bit. The conv outputs z1, z2 are
     not kept: backward needs only their shapes, because a pooled output is
-    positive exactly where relu passes the gradient at its route. conv1_built
-    numbers the build of x's K-major patch matrix in the scratch; backward
-    reads that matrix while it is the latest build and builds it again if not.
+    positive exactly where relu passes the gradient at its route. Where
+    loss_and_param_grad kept x's K-major patch matrix in the scratch,
+    conv1_built is that write's number: backward reads the matrix while no
+    later write replaced it, and builds it again otherwise.
     """
 
     params: ModelParams
     x: np.ndarray
-    conv1_built: int
     z1_shape: tuple
     i1: np.ndarray
     p1: np.ndarray
@@ -320,6 +331,7 @@ class Graph:
     i2: np.ndarray
     p2: np.ndarray
     logits: np.ndarray
+    conv1_built: int | None = None
 
     def backward(
         self, dlogits: np.ndarray, need_input: bool = True, need_params: bool = False,
@@ -377,27 +389,32 @@ def _check_batch(params: ModelParams, batch: np.ndarray, finite: bool = True) ->
 
 
 def forward_graph(params: ModelParams, batch: np.ndarray) -> Graph:
-    """Run the network and record every intermediate needed by backward.
+    """Run the network and record every intermediate needed by backward."""
+    x = _check_batch(params, batch)
+    return _record(params, x, conv2d(x, params.conv1_w, params.conv1_b))
 
-    conv1 reads its patches from the K-major matrix its weight gradient
-    reads, so a training step builds that matrix once.
-    """
+
+def _graph_keeping_conv1(params: ModelParams, batch: np.ndarray) -> Graph:
+    """forward_graph's Graph, its conv1 read from x's K-major matrix, which stays in cols for backward."""
     x = _check_batch(params, batch)
     cols_t = _patch_matrix_t(x)
+    b, h, w, c = x.shape
+    _kept[:] = _cols_writes[0], b * (h + 2) * (w + 2) * c  # the padded input the build wrote
     # a GEMM per image row on the matrix's transposed view, as conv2d computes them
-    z1 = np.matmul(cols_t.T.reshape(*x.shape[:3], -1), params.conv1_w.reshape(-1, CONV1_CHANNELS))
+    z1 = np.matmul(cols_t.T.reshape(b, h, w, -1), params.conv1_w.reshape(-1, CONV1_CHANNELS))
     z1 += params.conv1_b
-    return Graph(params=params, x=x, conv1_built=_cols_built[0], **_after_conv1(params, x, z1))
+    return _record(params, x, z1, _kept[0])
 
 
-def _after_conv1(params: ModelParams, x: np.ndarray, z1: np.ndarray) -> dict:
-    """The Graph fields of x from conv1's output z1 on."""
+def _record(params: ModelParams, x: np.ndarray, z1: np.ndarray, conv1_built=None) -> Graph:
+    """The Graph of x from conv1's output z1 on."""
     p1, i1 = maxpool2(z1)
     z2 = conv2d(p1, params.conv2_w, params.conv2_b)
     p2, i2 = maxpool2(z2)
     logits = dense(p2.reshape(x.shape[0], -1), params.dense_w, params.dense_b)
     require_finite("logits", logits)
-    return dict(z1_shape=z1.shape, i1=i1, p1=p1, z2_shape=z2.shape, i2=i2, p2=p2, logits=logits)
+    return Graph(params=params, x=x, z1_shape=z1.shape, i1=i1, p1=p1,
+                 z2_shape=z2.shape, i2=i2, p2=p2, logits=logits, conv1_built=conv1_built)
 
 
 # Most rows per forward_graph call in forward(). Inference needs no recorded
@@ -420,12 +437,8 @@ def forward(params: ModelParams, batch: np.ndarray, rows=None) -> np.ndarray:
     x = _check_batch(params, batch, finite=False)  # each block is checked as it runs
     n = x.shape[0] if rows is None else len(rows)
     parts = np.array_split(np.arange(n) if rows is None else rows, -(-n // FORWARD_BLOCK))
-    blocks = (_check_batch(params, x[p[0] : p[-1] + 1] if rows is None else x[p]) for p in parts)
-    # conv1 in row blocks: the whole block's K-major matrix would grow the scratch
-    features = np.concatenate([
-        _after_conv1(params, block, conv2d(block, params.conv1_w, params.conv1_b))["p2"]
-        for block in blocks
-    ])
+    blocks = (x[p[0] : p[-1] + 1] if rows is None else x[p] for p in parts)
+    features = np.concatenate([forward_graph(params, block).p2 for block in blocks])
     logits = dense(features.reshape(n, -1), params.dense_w, params.dense_b)
     require_finite("logits", logits)
     return logits
@@ -464,8 +477,12 @@ def loss_and_input_grad(
 def loss_and_param_grad(
     params: ModelParams, batch: np.ndarray, labels
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy and its gradients w.r.t. every weight tensor, keyed by PARAM_FIELDS."""
-    graph = forward_graph(params, batch)
+    """Mean cross-entropy and its gradients w.r.t. every weight tensor, keyed by PARAM_FIELDS.
+
+    Builds conv1's patches once: its forward and weight gradient read one
+    K-major matrix.
+    """
+    graph = _graph_keeping_conv1(params, batch)
     loss, dlogits = loss_and_dlogits(graph, labels)
     _, grads = graph.backward(dlogits, need_input=False, need_params=True)
     for f, g in grads.items():

@@ -379,41 +379,89 @@ def test_param_grads_read_conv1_matrix_of_the_forward(rng, monkeypatch, shape, b
     builds = []
     monkeypatch.setattr(nn, "_patch_matrix_t", lambda a, f=nn._patch_matrix_t: builds.append(a.shape) or f(a))
     _, grads = nn.loss_and_param_grad(params, x, labels)
-    assert builds == [shape, (*shape[:1], shape[1] // 2, shape[2] // 2, nn.CONV1_CHANNELS)]
-    _, graph_grads = nn.forward_graph(params, x).backward(dlogits, need_input=False, need_params=True)
+    conv2_input = (*shape[:1], shape[1] // 2, shape[2] // 2, nn.CONV1_CHANNELS)
+    assert builds == [shape, conv2_input]
+    # forward_graph and the input gradient build no K-major matrix; a graph's
+    # parameter gradients build both
+    graph = nn.forward_graph(params, x)
+    nn.loss_and_input_grad(params, x, labels)
+    assert builds[2:] == []
+    _, graph_grads = graph.backward(dlogits, need_input=False, need_params=True)
+    assert builds[2:] == [shape, conv2_input]
     for f in nn.PARAM_FIELDS:
         assert_same_bits(grads[f], want[f])
         assert_same_bits(graph_grads[f], want[f])
 
 
-@pytest.mark.parametrize("other_batch", [7, 16, None])
-def test_backward_rebuilds_a_conv1_matrix_another_pass_overwrote(rng, monkeypatch, other_batch):
-    # the scratch holds one conv1 matrix: a graph whose matrix another
-    # forward_graph replaced, with nn.forward also run on the scratch before
-    # its backward (or whose scratch was freed), builds its matrix again and
-    # keeps the oracle's bits
+@pytest.mark.parametrize("between,rebuilt", [
+    ("forward_graph-and-forward", False),
+    ("input-grad", False),
+    ("kept-graph", True),
+    ("param-grad", True),
+    ("free-scratch", True),
+])
+def test_backward_rebuilds_a_conv1_matrix_another_pass_overwrote(rng, monkeypatch, between, rebuilt):
+    # a graph that keeps conv1's matrix in the scratch: passes that only use
+    # row blocks leave the matrix for its backward; another kept matrix, a
+    # training step or a freed scratch replace it, and backward builds it
+    # again. Either way the gradients keep the oracle's bits.
     params = rand_params(rng, hw=32)
     x = rng.uniform(0, 1, size=(7, 32, 32, 3))
     labels = rng.integers(0, 4, size=7)
     dlogits, want = oracle_param_grads(params, x, labels)
-    graph = nn.forward_graph(params, x)
-    if other_batch is None:
-        nn.free_scratch()
-    else:
-        other = rng.uniform(0, 1, size=(other_batch, 32, 32, 3))
+    graph = nn._graph_keeping_conv1(params, x)
+    other = rng.uniform(0, 1, size=(16, 32, 32, 3))
+    if between == "forward_graph-and-forward":
         nn.forward_graph(params, other)
         nn.forward(params, other)
+    elif between == "input-grad":
+        nn.loss_and_input_grad(params, other, rng.integers(0, 4, size=16))
+    elif between == "kept-graph":
+        nn._graph_keeping_conv1(params, other)
+    elif between == "param-grad":
+        nn.loss_and_param_grad(params, other, rng.integers(0, 4, size=16))
+    else:
+        nn.free_scratch()
     builds = []
     monkeypatch.setattr(nn, "_patch_matrix_t", lambda a, f=nn._patch_matrix_t: builds.append(a.shape) or f(a))
     _, grads = graph.backward(dlogits, need_input=False, need_params=True)
-    assert builds == [x.shape, graph.p1.shape]
+    assert builds == [x.shape] * rebuilt + [graph.p1.shape]
     for f in nn.PARAM_FIELDS:
         assert_same_bits(grads[f], want[f])
-    # conv2's matrix replaced conv1's: a second backward builds it again too
+    # conv2's matrix replaced conv1's: a second backward builds it again
+    del builds[:]
     _, again = graph.backward(dlogits, need_input=False, need_params=True)
-    assert builds[2:] == [x.shape, graph.p1.shape]
+    assert builds == [x.shape, graph.p1.shape]
     for f in nn.PARAM_FIELDS:
         assert_same_bits(again[f], want[f])
+
+
+def test_row_blocks_follow_the_block_rule_whatever_ran_before(rng, monkeypatch):
+    # inference splits a batch by BLOCK_BYTES alone, on fresh scratch, after a
+    # training step and after free_scratch; a training step's conv2 blocks
+    # fit in the room of conv1's padded input while its matrix waits in cols
+    params = rand_params(rng, hw=32)
+    x = rng.uniform(0, 1, size=(16, 32, 32, 3))
+    blocks = []
+
+    def patch_blocks(a, n, f=nn._patch_blocks):
+        for i, cols in f(a, n):
+            blocks.append((a.shape[-1], len(cols)))
+            yield i, cols
+
+    monkeypatch.setattr(nn, "_patch_blocks", patch_blocks)
+    monkeypatch.setattr(nn, "_scratch", {"padded": np.empty(0), "cols": np.empty(0)})
+    inference = [(3, 4)] * 4 + [(8, 7), (8, 7), (8, 2)]
+    nn.forward(params, x)
+    assert blocks == inference
+    del blocks[:]
+    nn.loss_and_param_grad(params, x, rng.integers(0, 4, size=16))
+    assert blocks == [(8, 2)] * 8 + [(16, 1)] * 16
+    for reset in (lambda: None, nn.free_scratch):
+        reset()
+        del blocks[:]
+        nn.forward(params, x)
+        assert blocks == inference
 
 
 def test_scratch_growth_frees_the_old_buffer_first(monkeypatch):
