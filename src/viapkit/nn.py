@@ -12,21 +12,20 @@ and routes are those of pooling the relu output, bit for bit. Every zero the
 network pools is +0.0, even where a conv output is -0.0.
 
 Each conv GEMM reads an im2col patch matrix (columns ordered row, col,
-channel), built in two per-process scratch buffers, padded and cols, that
-every call reuses:
+channel), built in per-process scratch buffers that every call reuses, one
+buffer per patch layout:
 
 - conv2d and conv2d_input_grad build row-major (B, H, W, 9*C) matrices a
   block of whole images at a time, at most BLOCK_BYTES of patches, with the
   block's zero-padded images in padded and its patches in cols, and run one
   GEMM per image row.
 - conv2d_param_grad builds a whole batch's K-major matrix (9*C, B*H*W), one
-  row per kernel tap, in cols from a zero-padded channel-first copy in padded,
-  for one whole-batch weight-gradient GEMM.
+  row per kernel tap, in cols_t from a zero-padded channel-first copy in
+  padded, for one whole-batch weight-gradient GEMM.
 - loss_and_param_grad builds conv1's K-major matrix once per step: conv1's
   forward GEMMs, one per image row, read its transposed (B, H, W, 9*C) view,
-  and conv1's weight-gradient GEMM reads it again. While it waits in cols,
-  conv2's row blocks put their padded images and patches both in padded, in
-  as many whole images as fit where conv1's padded input was (at least one).
+  and the step's backward gets the matrix for conv1's weight-gradient GEMM.
+  Row blocks never write cols_t, so conv2's blocks in between leave it whole.
 
 The K-major matrix is the row-major one's transpose, stored C-contiguous. A
 GEMM packs its A operand into the same panels whether it reads it row-major
@@ -70,13 +69,8 @@ def as_f64(arr) -> np.ndarray:
 BLOCK_BYTES = 1 << 20
 # Patch scratch, one per process, grown on demand: fresh patch-matrix
 # temporaries would fault their pages in on every call. No result views it.
-_scratch = {"padded": np.empty(0), "cols": np.empty(0)}
-# Times cols was written (or let go). A Graph reads its conv1 matrix back only
-# while no later write replaced it.
-_cols_writes = [0]
-# (write number, padded values) of the conv1 matrix loss_and_param_grad keeps
-# in cols: while it is the latest write, row blocks leave cols alone.
-_kept = [-1, 0]
+# padded holds zero-padded inputs, cols row-block patches, cols_t K-major matrices.
+_scratch = {"padded": np.empty(0), "cols": np.empty(0), "cols_t": np.empty(0)}
 
 
 def _scratch_view(name: str, shape: tuple) -> np.ndarray:
@@ -89,34 +83,23 @@ def _scratch_view(name: str, shape: tuple) -> np.ndarray:
 
 def free_scratch() -> None:
     """Let the patch scratch go; the next conv grows it again."""
-    _scratch.update(padded=np.empty(0), cols=np.empty(0))
-    _cols_writes[0] += 1
+    _scratch.update(padded=np.empty(0), cols=np.empty(0), cols_t=np.empty(0))
 
 
 def _patch_blocks(x: np.ndarray, n: int):
-    """Yield (i, patch matrix of x[i : i + m]) for blocks of m <= n images, views of the scratch.
+    """Yield (i, patch matrix of x[i : i + m]) for blocks of m <= n images, views of padded and cols.
 
     A block's matrix is its 3x3 zero-padded patches, (m, H, W, 9*C), valid
     until the next block is built. Patch columns are ordered (row, col,
     channel) to match a reshaped (3, 3, C, out) kernel. The 3 pixels x C
     channels of one kernel row are contiguous in the padded image, so one
-    strided view covers every patch. While cols keeps a conv1 matrix, a
-    block's padded images and matrix both go in the padded buffer, and m is
-    cut to the images that fit in the kept room (at least one).
+    strided view covers every patch. The block's padded images go in padded
+    and its matrix in cols; a K-major matrix waiting in cols_t is left whole.
     """
     b, h, w, c = x.shape
-    image = ((h + 2) * (w + 2) * c, h * w * KERNEL * KERNEL * c)
-    if _kept[0] == _cols_writes[0]:
-        n = min(n, max(1, _kept[1] // sum(image)))
-        buf = _scratch_view("padded", (n * sum(image),))
-        padded, cols = buf[: n * image[0]], buf[n * image[0] :]
-    else:
-        padded = _scratch_view("padded", (n * image[0],))
-        cols = _scratch_view("cols", (n * image[1],))
-        _cols_writes[0] += 1
-    padded = padded.reshape(n, h + 2, w + 2, c)
+    padded = _scratch_view("padded", (n, h + 2, w + 2, c))
     padded[:, :: h + 1] = padded[:, :, :: w + 1] = 0.0  # the border rows, then columns
-    cols = cols.reshape(n, h, w, KERNEL, KERNEL * c)
+    cols = _scratch_view("cols", (n, h, w, KERNEL, KERNEL * c))
     s = padded.strides
     rows = np.ndarray(cols.shape, padded.dtype, padded, 0, (s[0], s[1], s[2], s[1], s[3]))
     for i in range(0, b, n):
@@ -151,7 +134,7 @@ def conv2d_input_grad(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _patch_matrix_t(x: np.ndarray) -> np.ndarray:
-    """x's whole-batch patch matrix, transposed: (9*C, B*H*W), a view of the scratch.
+    """x's whole-batch patch matrix, transposed: (9*C, B*H*W), a view of cols_t.
 
     Row (row, col, channel) holds that kernel tap's input under every output
     pixel, in (image, y, x) order. x is copied once, channel first, into a
@@ -162,19 +145,11 @@ def _patch_matrix_t(x: np.ndarray) -> np.ndarray:
     padded = _scratch_view("padded", (c, b, h + 2, w + 2))
     padded[:, :, :: h + 1] = padded[:, :, :, :: w + 1] = 0.0  # the border rows, then columns
     padded[:, :, 1:-1, 1:-1] = x.transpose(3, 0, 1, 2)
-    cols = _scratch_view("cols", (KERNEL, KERNEL, c, b, h, w))
+    cols = _scratch_view("cols_t", (KERNEL, KERNEL, c, b, h, w))
     s = padded.strides
     taps = np.ndarray(cols.shape, padded.dtype, padded, 0, (s[2], s[3], *s))
     np.copyto(cols, taps)
-    _cols_writes[0] += 1
     return cols.reshape(KERNEL * KERNEL * c, -1)
-
-
-def _kept_patch_matrix_t(x: np.ndarray, built: int | None) -> np.ndarray:
-    """x's K-major matrix, read back from cols if no write came after write number `built`."""
-    if _cols_writes[0] != built:
-        return _patch_matrix_t(x)
-    return _scratch["cols"][: x.size * KERNEL * KERNEL].reshape(KERNEL * KERNEL * x.shape[-1], -1)
 
 
 def _param_grad(
@@ -316,10 +291,8 @@ class Graph:
     Valid only for the batch it was recorded from; replaying the same batch
     reproduces every stored array bit for bit. The conv outputs z1, z2 are
     not kept: backward needs only their shapes, because a pooled output is
-    positive exactly where relu passes the gradient at its route. Where
-    loss_and_param_grad kept x's K-major patch matrix in the scratch,
-    conv1_built is that write's number: backward reads the matrix while no
-    later write replaced it, and builds it again otherwise.
+    positive exactly where relu passes the gradient at its route. No field
+    views the patch scratch, so a Graph stays valid whatever runs after it.
     """
 
     params: ModelParams
@@ -331,11 +304,10 @@ class Graph:
     i2: np.ndarray
     p2: np.ndarray
     logits: np.ndarray
-    conv1_built: int | None = None
 
     def backward(
         self, dlogits: np.ndarray, need_input: bool = True, need_params: bool = False,
-        sum_input: bool = False,
+        sum_input: bool = False, conv1_t: np.ndarray | None = None,
     ) -> tuple[np.ndarray | None, dict[str, np.ndarray] | None]:
         """Backpropagate dlogits; returns (input grad, param grads keyed by PARAM_FIELDS).
 
@@ -344,6 +316,9 @@ class Graph:
         the batch sum of its output grads. The summation order differs from
         summing per-example input grads, so the two agree to rounding, and
         bit for bit on a batch of one.
+
+        conv1_t is x's K-major patch matrix where the caller has just built
+        it, as loss_and_param_grad has; the param grads build it otherwise.
         """
         if dlogits.shape != self.logits.shape:
             raise ValueError("dlogits shape does not match the recorded forward pass")
@@ -363,9 +338,10 @@ class Graph:
 
         grads = None
         if need_params:
-            # conv1's first: conv2's matrix is built over it
-            cols_t = _kept_patch_matrix_t(self.x, self.conv1_built)
-            dw1, db1 = _param_grad(cols_t, dz1, self.x.shape[-1], CONV1_CHANNELS)
+            # conv1's first: conv2's matrix is built over it in cols_t
+            if conv1_t is None:
+                conv1_t = _patch_matrix_t(self.x)
+            dw1, db1 = _param_grad(conv1_t, dz1, self.x.shape[-1], CONV1_CHANNELS)
             dw2, db2 = conv2d_param_grad(self.p1, dz2, CONV2_CHANNELS)
             grads = {"conv1_w": dw1, "conv1_b": db1, "conv2_w": dw2, "conv2_b": db2,
                      "dense_w": flat.T @ dlogits, "dense_b": dlogits.sum(axis=0)}
@@ -394,19 +370,7 @@ def forward_graph(params: ModelParams, batch: np.ndarray) -> Graph:
     return _record(params, x, conv2d(x, params.conv1_w, params.conv1_b))
 
 
-def _graph_keeping_conv1(params: ModelParams, batch: np.ndarray) -> Graph:
-    """forward_graph's Graph, its conv1 read from x's K-major matrix, which stays in cols for backward."""
-    x = _check_batch(params, batch)
-    cols_t = _patch_matrix_t(x)
-    b, h, w, c = x.shape
-    _kept[:] = _cols_writes[0], b * (h + 2) * (w + 2) * c  # the padded input the build wrote
-    # a GEMM per image row on the matrix's transposed view, as conv2d computes them
-    z1 = np.matmul(cols_t.T.reshape(b, h, w, -1), params.conv1_w.reshape(-1, CONV1_CHANNELS))
-    z1 += params.conv1_b
-    return _record(params, x, z1, _kept[0])
-
-
-def _record(params: ModelParams, x: np.ndarray, z1: np.ndarray, conv1_built=None) -> Graph:
+def _record(params: ModelParams, x: np.ndarray, z1: np.ndarray) -> Graph:
     """The Graph of x from conv1's output z1 on."""
     p1, i1 = maxpool2(z1)
     z2 = conv2d(p1, params.conv2_w, params.conv2_b)
@@ -414,7 +378,7 @@ def _record(params: ModelParams, x: np.ndarray, z1: np.ndarray, conv1_built=None
     logits = dense(p2.reshape(x.shape[0], -1), params.dense_w, params.dense_b)
     require_finite("logits", logits)
     return Graph(params=params, x=x, z1_shape=z1.shape, i1=i1, p1=p1,
-                 z2_shape=z2.shape, i2=i2, p2=p2, logits=logits, conv1_built=conv1_built)
+                 z2_shape=z2.shape, i2=i2, p2=p2, logits=logits)
 
 
 # Most rows per forward_graph call in forward(). Inference needs no recorded
@@ -482,9 +446,16 @@ def loss_and_param_grad(
     Builds conv1's patches once: its forward and weight gradient read one
     K-major matrix.
     """
-    graph = _graph_keeping_conv1(params, batch)
+    x = _check_batch(params, batch)
+    cols_t = _patch_matrix_t(x)
+    b, h, w, _ = x.shape
+    # a GEMM per image row on the matrix's transposed view, as conv2d computes them
+    z1 = np.matmul(cols_t.T.reshape(b, h, w, -1), params.conv1_w.reshape(-1, CONV1_CHANNELS))
+    z1 += params.conv1_b
+    graph = _record(params, x, z1)
+    del z1  # the graph keeps its shape only; backward's arrays reuse its memory
     loss, dlogits = loss_and_dlogits(graph, labels)
-    _, grads = graph.backward(dlogits, need_input=False, need_params=True)
+    _, grads = graph.backward(dlogits, need_input=False, need_params=True, conv1_t=cols_t)
     for f, g in grads.items():
         require_finite(f, g)
     return loss, grads

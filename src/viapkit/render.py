@@ -442,10 +442,10 @@ def write_ppm(image: np.ndarray, path) -> None:
 # ---------------------------------------------------------------------------
 
 def _require_count(what: str, *values) -> None:
-    """ValueError unless each value is a non-negative int (a JSON integer, not a bool or float)."""
+    """ValueError unless each value is an int in [0, 2**63) (a JSON integer, not a bool or float)."""
     for value in values:
-        if type(value) is not int or value < 0:
-            raise ValueError(f"{what} {value!r} is not a non-negative integer")
+        if type(value) is not int or not 0 <= value < 1 << 63:
+            raise ValueError(f"{what} {value!r} is not a non-negative integer below 2**63")
 
 
 @dataclass
@@ -668,6 +668,8 @@ def load_dataset(in_dir) -> Dataset:
         per = math.prod(shape) * 8
         views = list(raw["views"])
         for i, rec in enumerate(views):
+            for name in ("index", "offset"):
+                _require_count(f"view record {i}: {name}", rec[name])
             if rec["index"] != i or rec["offset"] != i * per:
                 raise ValueError(f"view record {i} is not at index {i}, offset {i * per}")
         manifest = DatasetManifest(

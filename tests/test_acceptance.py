@@ -11,6 +11,8 @@ and runtime criteria read those measurements instead of re-running stages.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import os
 import time
 
@@ -52,9 +54,30 @@ class PipelineRun:
         self.cells = {(c.family, c.eps, c.split): c for c in self.sweep.cells}
 
 
+def _openblas(symbol: str, restype, *argtypes):
+    """The function `symbol` of numpy's bundled OpenBLAS, or None for another BLAS."""
+    # dlsym on numpy's core extension also searches the libraries it links
+    core = getattr(np, "_core", None) or np.core  # numpy 2 renamed core to _core
+    fn = getattr(ctypes.CDLL(core._multiarray_umath.__file__), symbol, None)
+    if fn is not None:
+        fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
 @pytest.fixture(scope="module")
 def pipeline():
-    return PipelineRun()
+    # on one BLAS thread, as CI and the benchmark run it: on some kernels
+    # (Haswell, Prescott) the thread count changes the victim's bits
+    get = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    put = _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    if put is None:
+        return PipelineRun()
+    threads = get()
+    put(1)
+    try:
+        return PipelineRun()
+    finally:
+        put(threads)
 
 
 # ---------------------------------------------------------------------------
@@ -319,3 +342,28 @@ def test_criterion_10_default_sweep_runtime(pipeline):
     assert len(pipeline.sweep.cells) == n_fam * n_eps * 2
     assert pipeline.t_sweep < 600.0, f"default sweep took {pipeline.t_sweep:.1f}s"
     _ok(f"10 sweep runtime ({len(pipeline.sweep.cells)} cells in {pipeline.t_sweep:.1f}s)")
+
+
+# ---------------------------------------------------------------------------
+# 11. the default report, byte for byte
+# ---------------------------------------------------------------------------
+
+# sha256 of the pipeline's report.json per OpenBLAS kernel, on one BLAS thread:
+# each kernel rounds the victim's GEMMs its own way, and every cell follows the victim
+REPORT_SHA256 = {
+    "SkylakeX": "174ffa8ca3228c682b089c8698a2369e3c85a741fd7809659d5044fbc8b3fdc8",
+    "Haswell": "66ce7e04566c63ec0e0f4592249948b56943a18c1cc63382f4ab8f7aae85eaeb",
+    "Katmai": "12a256246a5090c3b9cae4900839fc315c52abc315a0823622d6b9ad8a2d3bdd",  # CORETYPE=Prescott
+}
+
+
+def test_criterion_11_default_report_digest(request, tmp_path):
+    name = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    kernel = name and name().decode()
+    if kernel not in REPORT_SHA256:
+        pytest.skip(f"no report.json digest recorded for BLAS kernel {kernel}")
+    sweep = request.getfixturevalue("pipeline").sweep  # built only where a digest is pinned
+    evaluate.emit_report(sweep, sweep.ttests, tmp_path)
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == REPORT_SHA256[kernel], f"report.json under {kernel}: {digest}"
+    _ok(f"11 report digest ({kernel} kernel, sha256 {digest[:12]})")

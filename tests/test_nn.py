@@ -293,12 +293,13 @@ def test_param_grad_patch_matrix_is_the_transposed_reference(rng, shape):
 
 
 def test_param_grad_scratch_keeps_the_whole_batch_sizes(rng, monkeypatch):
-    # a batch-16 training step on 32x32x3 views grows only the two patch
-    # buffers, to conv1's whole-batch padded input and patch matrix
-    monkeypatch.setattr(nn, "_scratch", {"padded": np.empty(0), "cols": np.empty(0)})
+    # a batch-16 training step on 32x32x3 views grows the patch buffers to
+    # conv1's whole-batch padded input, conv2's forward row block of 7 images
+    # and conv1's K-major matrix
+    monkeypatch.setattr(nn, "_scratch", {"padded": np.empty(0), "cols": np.empty(0), "cols_t": np.empty(0)})
     params = rand_params(rng, hw=32)
     nn.loss_and_param_grad(params, rng.uniform(0, 1, size=(16, 32, 32, 3)), rng.integers(0, 4, size=16))
-    assert {k: v.size for k, v in nn._scratch.items()} == {"padded": 55_488, "cols": 442_368}
+    assert {k: v.size for k, v in nn._scratch.items()} == {"padded": 55_488, "cols": 129_024, "cols_t": 442_368}
 
 
 @pytest.mark.parametrize("batch,hw,block_bytes", [
@@ -396,39 +397,41 @@ def test_param_grads_read_conv1_matrix_of_the_forward(rng, monkeypatch, shape, b
 @pytest.mark.parametrize("between,rebuilt", [
     ("forward_graph-and-forward", False),
     ("input-grad", False),
-    ("kept-graph", True),
-    ("param-grad", True),
-    ("free-scratch", True),
 ])
 def test_backward_rebuilds_a_conv1_matrix_another_pass_overwrote(rng, monkeypatch, between, rebuilt):
-    # a graph that keeps conv1's matrix in the scratch: passes that only use
-    # row blocks leave the matrix for its backward; another kept matrix, a
-    # training step or a freed scratch replace it, and backward builds it
-    # again. Either way the gradients keep the oracle's bits.
+    # conv1's K-major matrix, built as a training step builds it: passes that
+    # only use row blocks never write its buffer, so a backward handed the
+    # matrix builds only conv2's. Either way the gradients keep the oracle's bits.
     params = rand_params(rng, hw=32)
     x = rng.uniform(0, 1, size=(7, 32, 32, 3))
     labels = rng.integers(0, 4, size=7)
     dlogits, want = oracle_param_grads(params, x, labels)
-    graph = nn._graph_keeping_conv1(params, x)
+    graph = nn.forward_graph(params, x)
+    conv1_t = nn._patch_matrix_t(x)
+    built = conv1_t.copy()
     other = rng.uniform(0, 1, size=(16, 32, 32, 3))
+    blocks = []
+
+    def patch_blocks(a, n, f=nn._patch_blocks):
+        for i, cols in f(a, n):
+            blocks.append(np.shares_memory(cols, nn._scratch["cols_t"]))
+            yield i, cols
+
+    monkeypatch.setattr(nn, "_patch_blocks", patch_blocks)
     if between == "forward_graph-and-forward":
         nn.forward_graph(params, other)
         nn.forward(params, other)
-    elif between == "input-grad":
-        nn.loss_and_input_grad(params, other, rng.integers(0, 4, size=16))
-    elif between == "kept-graph":
-        nn._graph_keeping_conv1(params, other)
-    elif between == "param-grad":
-        nn.loss_and_param_grad(params, other, rng.integers(0, 4, size=16))
     else:
-        nn.free_scratch()
+        nn.loss_and_input_grad(params, other, rng.integers(0, 4, size=16))
+    assert blocks and not any(blocks)
+    assert np.array_equal(conv1_t, built) != rebuilt
     builds = []
     monkeypatch.setattr(nn, "_patch_matrix_t", lambda a, f=nn._patch_matrix_t: builds.append(a.shape) or f(a))
-    _, grads = graph.backward(dlogits, need_input=False, need_params=True)
+    _, grads = graph.backward(dlogits, need_input=False, need_params=True, conv1_t=conv1_t)
     assert builds == [x.shape] * rebuilt + [graph.p1.shape]
     for f in nn.PARAM_FIELDS:
         assert_same_bits(grads[f], want[f])
-    # conv2's matrix replaced conv1's: a second backward builds it again
+    # conv2's matrix replaced conv1's: a backward not handed it builds both
     del builds[:]
     _, again = graph.backward(dlogits, need_input=False, need_params=True)
     assert builds == [x.shape, graph.p1.shape]
@@ -437,9 +440,9 @@ def test_backward_rebuilds_a_conv1_matrix_another_pass_overwrote(rng, monkeypatc
 
 
 def test_row_blocks_follow_the_block_rule_whatever_ran_before(rng, monkeypatch):
-    # inference splits a batch by BLOCK_BYTES alone, on fresh scratch, after a
-    # training step and after free_scratch; a training step's conv2 blocks
-    # fit in the room of conv1's padded input while its matrix waits in cols
+    # row blocks split a batch by BLOCK_BYTES alone, on fresh scratch, in a
+    # training step while conv1's matrix waits in cols_t, after a training
+    # step and after free_scratch
     params = rand_params(rng, hw=32)
     x = rng.uniform(0, 1, size=(16, 32, 32, 3))
     blocks = []
@@ -450,13 +453,13 @@ def test_row_blocks_follow_the_block_rule_whatever_ran_before(rng, monkeypatch):
             yield i, cols
 
     monkeypatch.setattr(nn, "_patch_blocks", patch_blocks)
-    monkeypatch.setattr(nn, "_scratch", {"padded": np.empty(0), "cols": np.empty(0)})
+    monkeypatch.setattr(nn, "_scratch", {"padded": np.empty(0), "cols": np.empty(0), "cols_t": np.empty(0)})
     inference = [(3, 4)] * 4 + [(8, 7), (8, 7), (8, 2)]
     nn.forward(params, x)
     assert blocks == inference
     del blocks[:]
     nn.loss_and_param_grad(params, x, rng.integers(0, 4, size=16))
-    assert blocks == [(8, 2)] * 8 + [(16, 1)] * 16
+    assert blocks == [(8, 7), (8, 7), (8, 2)] + [(16, 3)] * 5 + [(16, 1)]
     for reset in (lambda: None, nn.free_scratch):
         reset()
         del blocks[:]
@@ -467,7 +470,7 @@ def test_row_blocks_follow_the_block_rule_whatever_ran_before(rng, monkeypatch):
 def test_scratch_growth_frees_the_old_buffer_first(monkeypatch):
     # growing cols from 2^20 to 2^21 elements holds only the new buffer at its
     # peak (2x 8 MiB), not the old one beside it (3x)
-    monkeypatch.setattr(nn, "_scratch", {"padded": np.empty(0), "cols": np.empty(0)})
+    monkeypatch.setattr(nn, "_scratch", {"padded": np.empty(0), "cols": np.empty(0), "cols_t": np.empty(0)})
     tracemalloc.start()
     try:
         nn._scratch_view("cols", (1 << 20,))

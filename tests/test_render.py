@@ -366,12 +366,19 @@ def test_load_rejects_missing_or_ill_typed_manifest_fields(tmp_path, tiny_datase
     bad += [{**good, "views": [{**r, field: value} if r["object"] == 0 else r
                                for r in good["views"]]}
             for field, value in (("object", -1), ("object", 0.5), ("view", -1), ("view", "0"))]
+    # ids past int64, which Dataset's label arrays could not hold
+    bad += [{**good, "views": [{**r, field: 2**70} if i == 0 else r for i, r in enumerate(good["views"])]}
+            for field in ("object", "view")]
     for manifest in bad:
         (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="malformed dataset") as err:
             render.load_dataset(tmp_path / "d")
         assert str(tmp_path / "d") in str(err.value)
-    (tmp_path / "d" / "manifest.json").write_text(json.dumps(bad[-4]))
+    for manifest, field in zip(bad[-2:], ("object", "view")):
+        (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"view record 0: {field} {2**70} is not a non-negative integer"):
+            render.load_dataset(tmp_path / "d")
+    (tmp_path / "d" / "manifest.json").write_text(json.dumps(bad[-6]))
     with pytest.raises(ValueError, match="view record 0: object -1 is not a non-negative integer"):
         render.load_dataset(tmp_path / "d")
 
@@ -387,6 +394,12 @@ def test_load_rejects_records_out_of_place(tmp_path, tiny_dataset):
     for records in (repeated, shifted, swapped):
         (tmp_path / "d" / "manifest.json").write_text(json.dumps({**good, "views": records}))
         with pytest.raises(ValueError, match="view record"):
+            render.load_dataset(tmp_path / "d")
+    # a place that equals the right one by value but is not a JSON integer
+    for i, field, value in ((1, "index", True), (1, "index", 1.0), (0, "offset", False)):
+        records = [{**r, field: value} if j == i else r for j, r in enumerate(views)]
+        (tmp_path / "d" / "manifest.json").write_text(json.dumps({**good, "views": records}))
+        with pytest.raises(ValueError, match=f"view record {i}: {field} {value!r} is not a non-negative"):
             render.load_dataset(tmp_path / "d")
 
 

@@ -156,7 +156,8 @@ def test_a_prediction_is_the_argmax_of_the_logits():
 def test_training_leaves_no_patch_scratch(rng, diverges):
     x, y = toy_data(rng, n=16)
     p0 = train.init_params(0, height=8, width=8)
-    nn._scratch_view("cols", (1000,))
+    for name in nn._scratch:
+        nn._scratch_view(name, (1000,))
     if diverges:
         # the first epoch's weights score non-finite logits
         with np.errstate(invalid="ignore", over="ignore"):
@@ -164,7 +165,7 @@ def test_training_leaves_no_patch_scratch(rng, diverges):
                 train.train(p0, (1.0 + x) * 1e160, y, train.TrainConfig(epochs=3, lr=1.0))
     else:
         train.train(p0, x, y, train.TrainConfig(epochs=1))
-    assert {name: buf.size for name, buf in nn._scratch.items()} == {"padded": 0, "cols": 0}
+    assert {name: buf.size for name, buf in nn._scratch.items()} == {"padded": 0, "cols": 0, "cols_t": 0}
 
 
 def test_log_csv_layout(rng):
