@@ -448,6 +448,16 @@ def _require_count(what: str, *values) -> None:
             raise ValueError(f"{what} {value!r} is not a non-negative integer below 2**63")
 
 
+def _require_classes(classes) -> None:
+    if not (isinstance(classes, (list, tuple)) and classes and all(k in CLASS_KINDS for k in classes)):
+        raise ValueError(f"classes must be a non-empty list of {CLASS_KINDS}; got {classes!r}")
+
+
+def _is_number(value) -> bool:
+    """A finite int or float; a bool is no number."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 @dataclass
 class DatasetManifest:
     classes: tuple
@@ -578,8 +588,7 @@ def generate_dataset(
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0; got {seed}")
-    if not classes or not set(classes) <= set(CLASS_KINDS):
-        raise ValueError(f"classes must be a non-empty list of {CLASS_KINDS}; got {list(classes)}")
+    _require_classes(classes)
     if objects_per_class < 1:
         raise ValueError("objects_per_class must be at least 1")
     if views_per_object < 2:
@@ -666,12 +675,22 @@ def load_dataset(in_dir) -> Dataset:
         _require_count("image_shape extent", *shape)
         shape = tuple(shape)
         per = math.prod(shape) * 8
+        _require_classes(raw["classes"])
+        _require_count("seed", raw["seed"])
+        jitter = raw["jitter_frac"]
+        if not (_is_number(jitter) and 0.0 <= jitter < 1.0):
+            raise ValueError(f"jitter_frac {jitter!r} is not a number in [0, 1)")
         views = list(raw["views"])
         for i, rec in enumerate(views):
-            for name in ("index", "offset"):
+            for name in ("index", "offset", "nbytes"):
                 _require_count(f"view record {i}: {name}", rec[name])
             if rec["index"] != i or rec["offset"] != i * per:
                 raise ValueError(f"view record {i} is not at index {i}, offset {i * per}")
+            if rec["nbytes"] != per:
+                raise ValueError(f"view record {i}: nbytes {rec['nbytes']} is not a view's {per} bytes")
+            pose = rec["pose"]
+            if not (isinstance(pose, list) and len(pose) == 3 and all(map(_is_number, pose))):
+                raise ValueError(f"view record {i}: pose {pose!r} is not 3 finite numbers")
         manifest = DatasetManifest(
             classes=tuple(raw["classes"]),
             image_shape=shape,

@@ -11,6 +11,7 @@ and runtime criteria read those measurements instead of re-running stages.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -64,20 +65,36 @@ def _openblas(symbol: str, restype, *argtypes):
     return fn
 
 
-@pytest.fixture(scope="module")
-def pipeline():
-    # on one BLAS thread, as CI and the benchmark run it: on some kernels
-    # (Haswell, Prescott) the thread count changes the victim's bits
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one BLAS thread, as CI and the benchmark run the program:
+    on some kernels (Haswell, Prescott) the thread count changes the victim's bits."""
     get = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
     put = _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
     if put is None:
-        return PipelineRun()
+        yield
+        return
     threads = get()
     put(1)
     try:
-        return PipelineRun()
+        yield
     finally:
         put(threads)
+
+
+def pinned_kernel(pinned, what: str) -> str:
+    """The running OpenBLAS kernel's name; skips the test unless pinned holds it."""
+    name = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    kernel = name and name().decode()
+    if kernel not in pinned:
+        pytest.skip(f"no {what} recorded for BLAS kernel {kernel}")
+    return kernel
+
+
+@pytest.fixture(scope="module")
+def pipeline():
+    with one_blas_thread():
+        return PipelineRun()
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +375,70 @@ REPORT_SHA256 = {
 
 
 def test_criterion_11_default_report_digest(request, tmp_path):
-    name = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
-    kernel = name and name().decode()
-    if kernel not in REPORT_SHA256:
-        pytest.skip(f"no report.json digest recorded for BLAS kernel {kernel}")
+    kernel = pinned_kernel(REPORT_SHA256, "report.json digest")
     sweep = request.getfixturevalue("pipeline").sweep  # built only where a digest is pinned
     evaluate.emit_report(sweep, sweep.ttests, tmp_path)
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == REPORT_SHA256[kernel], f"report.json under {kernel}: {digest}"
     _ok(f"11 report digest ({kernel} kernel, sha256 {digest[:12]})")
+
+
+# ---------------------------------------------------------------------------
+# 12. the training path, byte for byte
+# ---------------------------------------------------------------------------
+
+# sha256 of weights.viapnet per OpenBLAS kernel, on one BLAS thread, from
+# `viapkit train --seed 3` on the 320-view grid that the benchmark's
+# render-train-wide workload renders and trains on
+WIDE_WEIGHTS_SHA256 = {
+    "SkylakeX": "d9492818dc748c78af6087a6f38f8c325f14645ef0ae64b4e2fd072bf150024d",
+    "Haswell": "39bf6dd15cac864c987ae9a9e0072ef2f3a2ad19e01df62d17f4f0cf8d0b67ba",
+    "Katmai": "2a29a10eca42529474a789c53bcbf7cfc04141af65fe0e4274c9fe05bbab5295",  # CORETYPE=Prescott
+}
+
+
+def test_criterion_12_wide_training_weights_digest(tmp_path):
+    kernel = pinned_kernel(WIDE_WEIGHTS_SHA256, "weights digest")
+    cfg = tmp_path / "dataset.json"
+    cfg.write_text('{"objects_per_class": 4, "views_per_object": 20}')
+    with one_blas_thread():
+        assert cli.main(["dataset", "--config", str(cfg), "--out", str(tmp_path / "data")]) == cli.EXIT_OK
+        assert cli.main(["train", "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "model"),
+                         "--seed", "3"]) == cli.EXIT_OK
+    digest = hashlib.sha256((tmp_path / "model" / "weights.viapnet").read_bytes()).hexdigest()
+    assert digest == WIDE_WEIGHTS_SHA256[kernel], f"weights.viapnet under {kernel}: {digest}"
+    _ok(f"12 training weights digest ({kernel} kernel, sha256 {digest[:12]})")
+
+
+# ---------------------------------------------------------------------------
+# 13. the README's held-out table, character for character
+# ---------------------------------------------------------------------------
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+TABLE_BEGIN, TABLE_END = "<!-- held-out table -->\n", "<!-- end held-out table -->\n"
+
+
+def readme_table(sweep: evaluate.SweepResult) -> str:
+    """The README's held-out block: mean true-label softmax on the test split
+    for three families at eps 1, 3, 5, then viap against fgsm's Welch test."""
+    grid = (1.0, 3.0, 5.0)
+    lines = ["| family | " + " | ".join(f"ε={eps:g}" for eps in grid) + " |",
+             "|--------|" + "--------|" * len(grid)]
+    for family, name in (("fgsm", "fgsm (mean noise)"), ("bim", "bim (mean noise)"), ("viap", "viap")):
+        means = (f"{sweep.cell(family, eps, 'test').mean:.3f}" for eps in grid)
+        lines.append(f"| {name} | " + " | ".join(means) + " |")
+    (welch,) = (t for t in sweep.ttests if t.label == "viap-vs-fgsm@eps5/test")
+    mantissa, exponent = f"{welch.p_value:.1e}".split("e")
+    lines += ["", "Welch t-test, viap vs fgsm at ε=5 on the test split: "
+              + f"t = {welch.t:.2f}, p ≈ {mantissa}e{int(exponent)}.".replace("-", "\N{MINUS SIGN}")]
+    return "\n".join(lines) + "\n"
+
+
+def test_criterion_13_readme_table_is_the_pipelines(request):
+    pinned_kernel({"SkylakeX"}, "README table")
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(TABLE_BEGIN) == 1 and text.count(TABLE_END) == 1
+    block = text.split(TABLE_BEGIN)[1].split(TABLE_END)[0]
+    assert block == readme_table(request.getfixturevalue("pipeline").sweep)
+    _ok("13 README table (SkylakeX kernel, verbatim)")

@@ -770,7 +770,7 @@ def save_noise_dataset(out, views: int, size: int = 16) -> int:
         o, v = divmod(i, 16)
         manifest.views.append({"index": i, "object": o, "class": o % len(render.CLASS_KINDS),
                                "view": v, "split": "train" if v < 8 else "test",
-                               "offset": i * nbytes})
+                               "pose": [1.5, 0.0, 3.0], "offset": i * nbytes, "nbytes": nbytes})
     images = rng.uniform(0.0, 1.0, size=(views, size, size, 3))
     render.save_dataset(render.Dataset(manifest, images), out)
     return images.nbytes

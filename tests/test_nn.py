@@ -292,6 +292,46 @@ def test_param_grad_patch_matrix_is_the_transposed_reference(rng, shape):
     assert_same_bits(cols_t, oracles.patches_reference(x).reshape(-1, 9 * shape[-1]).T)
 
 
+def row_by_row_sum(dy):
+    """Sum of dy's (B*H*W, C) rows, added one row at a time from +0.0."""
+    total = np.zeros(dy.shape[-1])
+    for row in dy.reshape(-1, dy.shape[-1]):
+        total += row
+    return total
+
+
+# dy of a batch-16 training step's conv1 and conv2, a batch of 7, one image, odd H and W
+BIAS_SHAPES = [(16, 32, 32, 8), (16, 16, 16, 16), (7, 32, 32, 8), (1, 32, 32, 8), (3, 9, 11, 16)]
+
+
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+@pytest.mark.parametrize("shape", BIAS_SHAPES)
+def test_bias_grad_is_the_row_order_sum(rng, shape, strided):
+    # magnitudes over 16 decades, so another summation order rounds differently
+    dy = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    if strided:
+        dy = np.repeat(dy, 2, axis=2)[:, :, ::2]
+        assert not dy.flags.c_contiguous
+    dy[..., 0] = -0.0
+    dy[..., 1] = np.where(rng.uniform(size=shape[:3]) < 0.5, 0.0, -0.0)
+    x = rng.uniform(-1.0, 1.0, size=(*shape[:3], 1))
+    _, db = nn._param_grad(nn._patch_matrix_t(x), dy, 1, shape[-1])
+    assert_same_bits(db, dy.sum(axis=(0, 1, 2)))
+    assert_same_bits(db, row_by_row_sum(dy))
+    assert not np.signbit(db[:2]).any()
+
+
+@pytest.mark.parametrize("cout", [nn.CONV1_CHANNELS, nn.CONV2_CHANNELS])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_conv_bias_add_is_the_broadcast_add(rng, shape, cout):
+    x = tied_batch(rng, shape)
+    x[0] = 0.0  # all-zero patches: +0.0 outputs, to which a -0.0 bias adds +0.0
+    w = rng.uniform(-0.5, 0.5, size=(3, 3, shape[-1], cout))
+    b = rng.uniform(-0.5, 0.5, size=cout)
+    b[::3] = -0.0
+    assert_same_bits(nn.conv2d(x, w, b), nn._conv_blocks(x, w.reshape(-1, cout)) + b)
+
+
 def test_param_grad_scratch_keeps_the_whole_batch_sizes(rng, monkeypatch):
     # a batch-16 training step on 32x32x3 views grows the patch buffers to
     # conv1's whole-batch padded input, conv2's forward row block of 7 images

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from forking import deadline, fail_in_a_helper
-from viapkit import render
+from viapkit import cli, render
 
 
 def fresh_rng(seed=0):
@@ -381,6 +381,43 @@ def test_load_rejects_missing_or_ill_typed_manifest_fields(tmp_path, tiny_datase
     (tmp_path / "d" / "manifest.json").write_text(json.dumps(bad[-6]))
     with pytest.raises(ValueError, match="view record 0: object -1 is not a non-negative integer"):
         render.load_dataset(tmp_path / "d")
+
+
+def manifest_edit(good, path, value):
+    """good with the field at path (keys and list indices) set to value."""
+    edited = json.loads(json.dumps(good))
+    *parents, last = path
+    target = edited
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return edited
+
+
+# saved-manifest fields that generate_dataset's rules refuse, and the name each error gives
+REFUSED_SETTINGS = [
+    (("seed",), "x", "seed"), (("seed",), -1, "seed"),
+    (("jitter_frac",), float("nan"), "jitter_frac"), (("jitter_frac",), 5, "jitter_frac"),
+    (("jitter_frac",), True, "jitter_frac"),
+    (("classes", 1), None, "classes"), (("classes", 1), "dog", "classes"),
+    (("classes",), [], "classes"),
+    (("views", 0, "nbytes"), 7, "view record 0: nbytes"),
+    (("views", 0, "pose"), None, "view record 0: pose"),
+    (("views", 0, "pose"), ["x"], "view record 0: pose"),
+    (("views", 0, "pose"), [1.0, float("inf"), 3.0], "view record 0: pose"),
+]
+
+
+def test_load_rejects_settings_generate_dataset_refuses(tmp_path, tiny_dataset, capsys):
+    good = saved_manifest(tmp_path, tiny_dataset)
+    for path, value, name in REFUSED_SETTINGS:
+        (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest_edit(good, path, value)))
+        with pytest.raises(ValueError, match=f"malformed dataset: ValueError: {name}"):
+            render.load_dataset(tmp_path / "d")
+        argv = ["train", "--dataset", str(tmp_path / "d"), "--out", str(tmp_path / "model")]
+        assert cli.main(argv) == cli.EXIT_USAGE, path
+        assert f"ValueError: {name}" in capsys.readouterr().err
+    assert not (tmp_path / "model" / "weights.viapnet").exists()
 
 
 def test_load_rejects_records_out_of_place(tmp_path, tiny_dataset):
